@@ -18,6 +18,7 @@ at min((alpha*beta/(1+beta))^(1/beta), 1).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -40,18 +41,23 @@ def _as_count(n, minimum: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Validated (alpha, beta) pair; both must be positive and finite."""
+    """Validated (alpha, beta) pair; both real (not bool), positive and finite."""
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
         for name in ("alpha", "beta"):
             v = getattr(self, name)
+            # Exact int and float skip the far slower numbers.Real ABC check.
+            if type(v) not in (float, int) and (
+                isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
+            ):
+                raise DomainError(f"{name} must be a real number, got {v!r}")
+            v = float(v)
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, v)
 
 
 def validate(alpha: float, beta: float) -> Params:
@@ -131,10 +137,14 @@ def quantile(p: Params, u: float) -> float:
 def sample(p: Params, n: int, seed: int) -> np.ndarray:
     """n inverse-transform draws, reproducible for a fixed seed.
 
-    Uses the Philox counter-based generator; the returned array is the raw
-    generation order and every value lies in the open interval (0, 1).
+    Uses the Philox counter-based generator, whose key is an integer seed in
+    [0, 2**128); the returned array is the raw generation order and every
+    value lies in the open interval (0, 1).
     """
     n = _as_count(n, 1, "sample size")
+    seed = _as_count(seed, 0, "seed")
+    if seed >= 2**128:
+        raise DomainError(f"seed must be < 2**128, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = 1.0 - rng.random(n)  # in (0, 1]
     x = (p.alpha / (p.alpha - np.log(u))) ** (1.0 / p.beta)

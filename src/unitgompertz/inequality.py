@@ -77,7 +77,8 @@ def zenga(p: Params, x: float) -> float:
     if not math.isfinite(z):
         return 1.0  # x so small that the lower conditional mean vanishes
     head = upper_inc_gamma_scaled(s, p.alpha)
-    tail = math.exp(p.alpha - z) * upper_inc_gamma_scaled(s, z)
+    gamma_z = upper_inc_gamma_scaled(s, z)
+    tail = math.exp(p.alpha - z) * gamma_z
     # Gamma(s; z) * e^z * sf / (e^alpha [Gamma(s;alpha) - Gamma(s;z)]) with
     # cdf = e^(alpha - z) already folded in.
-    return 1.0 - upper_inc_gamma_scaled(s, z) * sf(p, x) / (head - tail)
+    return 1.0 - gamma_z * sf(p, x) / (head - tail)

@@ -24,10 +24,21 @@ Implemented orders and their defining comparisons, for X against Y:
     ttt   integral of sf over (0, q(p)): X <= Y on a p-lattice
     disp  quantile spread q_Y(u) - q_X(u)       nondecreasing
 
-The integral-based orders use the identities int_t^1 sf = sf(t) * mrl(t)
-and int_0^t cdf = cdf(t) * eit(t), so they reduce to closed forms.  Two
-orders quantified over whole function classes (stochastic-variability and
-star-shaped) admit no finite certificate and are deliberately absent.
+The integral-based orders use the identities
+
+    int_t^1 sf   = Psi(t) = sf(t) * mrl(t)
+    int_0^t cdf  = cdf(t) * eit(t)
+    int_0^t 1/mrl = ln mu - ln Psi(t)      (1/mrl = -Psi'/Psi, Psi(0) = mu)
+
+so they reduce to closed forms, and the harmonic-mean residual life is
+t / (ln mu - ln Psi(t)) with mu the mean; no checker integrates numerically.
+Two orders quantified over whole function classes (stochastic-variability
+and star-shaped) admit no finite certificate and are deliberately absent.
+
+Each law's quantities are tabulated on the lattice once and computed on
+first use.  Within one `common_scale_order_suite` call the ten checkers
+share those tables; no table outlives the call, and a lone `check_order`
+builds its own.
 
 With a common scale and alpha_X < alpha_Y, X precedes Y in the likelihood
 ratio order, hence in every order implied by it; see `common_scale_order_suite`.
@@ -36,10 +47,11 @@ ratio order, hence in every order implied by it; see `common_scale_order_suite`.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
-from . import oracle
-from .distribution import Params, log_cdf, log_pdf, quantile, sf
+from .distribution import Params, log_cdf, log_pdf, quantile, raw_moment, sf
 from .errors import DomainError
 from .reliability import eit, mrl
 
@@ -49,11 +61,21 @@ ORDER_KINDS = ("st", "hr", "rh", "lr", "mrl", "hmrl", "eit", "icx", "icv", "disp
 # hiding real violations.
 MONOTONE_SLACK = 1e-10
 
-# The harmonic-mean checker integrates 1/mrl numerically; the residual-life
-# closed form itself carries ~1e-11 relative noise near t = 1, so this
-# checker gets a looser tolerance and a matching comparison slack.
-_HMRL_REL_TOL = 1e-9
-_HMRL_SLACK = 1e-8
+# Orders compared as a decreasing log-ratio, by table quantity.
+_LOG_RATIO = {"lr": "log_pdf", "hr": "log_sf", "rh": "log_cdf"}
+# Pointwise orders: table quantity, and whether X's value must be >= Y's.
+_POINTWISE = {
+    "st": ("cdf", True),
+    "mrl": ("mrl", False),
+    "eit": ("eit", True),
+    "hmrl": ("hmrl", False),
+    "icx": ("psi", False),
+    "icv": ("icv", True),
+    "ttt": ("ttt", False),
+}
+
+# (Params, grid_size) -> _Table, set only while a suite runs.
+_SHARED_TABLES: ContextVar[dict] = ContextVar("unitgompertz_order_tables")
 
 
 @dataclass(frozen=True)
@@ -71,31 +93,101 @@ class OrderReport:
             raise ValueError("a failed check must carry its first violation")
 
 
-def _log_sf(p: Params, t: float) -> float:
-    return math.log(sf(p, t))
+class _Table:
+    """One law's defining quantities on the lattice, each computed on first use.
+
+    The lattice `ts` doubles as the probability lattice of the quantile-based
+    orders (`quantile`, `ttt`).
+    """
+
+    def __init__(self, p: Params, ts: list[float]):
+        self.p = p
+        self.ts = ts
+
+    @cached_property
+    def log_cdf(self) -> list[float]:
+        return [log_cdf(self.p, t) for t in self.ts]
+
+    @cached_property
+    def log_pdf(self) -> list[float]:
+        return [log_pdf(self.p, t) for t in self.ts]
+
+    @cached_property
+    def sf(self) -> list[float]:
+        return [sf(self.p, t) for t in self.ts]
+
+    @cached_property
+    def log_sf(self) -> list[float]:
+        return [math.log(s) for s in self.sf]
+
+    @cached_property
+    def cdf(self) -> list[float]:
+        return [math.exp(v) for v in self.log_cdf]
+
+    @cached_property
+    def mrl(self) -> list[float]:
+        return [mrl(self.p, t) for t in self.ts]
+
+    @cached_property
+    def eit(self) -> list[float]:
+        return [eit(self.p, t) for t in self.ts]
+
+    @cached_property
+    def psi(self) -> list[float]:
+        """Psi(t) = integral of sf over (t, 1)."""
+        return [s * m for s, m in zip(self.sf, self.mrl)]
+
+    @cached_property
+    def icv(self) -> list[float]:
+        """Integral of cdf over (0, t)."""
+        return [c * e for c, e in zip(self.cdf, self.eit)]
+
+    @cached_property
+    def hmrl(self) -> list[float]:
+        """t / (ln mu - ln Psi(t)); NaN (skipped) where Psi is not positive."""
+        log_mean = math.log(raw_moment(self.p, 1))
+        return [
+            t / (log_mean - math.log(v)) if v > 0.0 else math.nan
+            for t, v in zip(self.ts, self.psi)
+        ]
+
+    @cached_property
+    def quantile(self) -> list[float]:
+        return [quantile(self.p, u) for u in self.ts]
+
+    @cached_property
+    def ttt(self) -> list[float]:
+        """Integral of sf over (0, q(u)) = q - u * eit(q), on the u-lattice."""
+        return [q - u * eit(self.p, q) for u, q in zip(self.ts, self.quantile)]
 
 
-def _pointwise(kind, ts, lhs_fn, rhs_fn, ge: bool) -> OrderReport:
+def _table(tables: dict, p: Params, grid_size: int) -> _Table:
+    key = (p, grid_size)
+    table = tables.get(key)
+    if table is None:
+        ts = [i / (grid_size + 1) for i in range(1, grid_size + 1)]
+        table = tables[key] = _Table(p, ts)
+    return table
+
+
+def _pointwise(kind, ts, lhs, rhs, ge: bool) -> OrderReport:
     """lhs >= rhs (or <=) at every lattice point, within MONOTONE_SLACK."""
     skipped = 0
-    for t in ts:
-        lhs = lhs_fn(t)
-        rhs = rhs_fn(t)
-        if math.isnan(lhs) or math.isnan(rhs):
+    for t, a, b in zip(ts, lhs, rhs):
+        if math.isnan(a) or math.isnan(b):
             skipped += 1
             continue
-        bad = lhs < rhs - MONOTONE_SLACK if ge else lhs > rhs + MONOTONE_SLACK
+        bad = a < b - MONOTONE_SLACK if ge else a > b + MONOTONE_SLACK
         if bad:
-            return OrderReport(kind, False, (t, lhs, rhs), len(ts), skipped)
+            return OrderReport(kind, False, (t, a, b), len(ts), skipped)
     return OrderReport(kind, True, None, len(ts), skipped)
 
 
-def _monotone(kind, ts, diff_fn, decreasing: bool) -> OrderReport:
-    """diff_fn nonincreasing (or nondecreasing) along the lattice."""
+def _monotone(kind, ts, diffs, decreasing: bool) -> OrderReport:
+    """diffs nonincreasing (or nondecreasing) along the lattice."""
     skipped = 0
     prev_d = None
-    for t in ts:
-        d = diff_fn(t)
+    for t, d in zip(ts, diffs):
         if not math.isfinite(d):
             skipped += 1
             continue
@@ -105,31 +197,6 @@ def _monotone(kind, ts, diff_fn, decreasing: bool) -> OrderReport:
                 return OrderReport(kind, False, (t, d, prev_d), len(ts), skipped)
         prev_d = d
     return OrderReport(kind, True, None, len(ts), skipped)
-
-
-def _hmrl_report(x: Params, y: Params, ts) -> OrderReport:
-    """Harmonic-mean residual life comparison via chained quadrature."""
-
-    def cumulative(p: Params) -> list[float]:
-        out = []
-        acc = 0.0
-        lo = 0.0
-        for t in ts:
-            acc += oracle.integrate(
-                lambda u, p=p: 1.0 / mrl(p, u), lo, t, rel_tol=_HMRL_REL_TOL
-            ).value
-            out.append(acc)
-            lo = t
-        return out
-
-    cum_x = cumulative(x)
-    cum_y = cumulative(y)
-    for t, cx, cy in zip(ts, cum_x, cum_y):
-        hm_x = t / cx
-        hm_y = t / cy
-        if hm_x > hm_y + _HMRL_SLACK:
-            return OrderReport("hmrl", False, (t, hm_x, hm_y), len(ts), 0)
-    return OrderReport("hmrl", True, None, len(ts), 0)
 
 
 def check_order(kind: str, x: Params, y: Params, grid_size: int = 128) -> OrderReport:
@@ -143,57 +210,20 @@ def check_order(kind: str, x: Params, y: Params, grid_size: int = 128) -> OrderR
         raise DomainError(f"unknown order kind {kind!r}; choose from {ORDER_KINDS}")
     if grid_size < 64:
         raise DomainError(f"grid_size must be at least 64, got {grid_size!r}")
-    ts = [i / (grid_size + 1) for i in range(1, grid_size + 1)]
+    tables = _SHARED_TABLES.get({})
+    tx, ty = (_table(tables, p, grid_size) for p in (x, y))
+    ts = tx.ts
 
-    if kind == "st":
-        return _pointwise(
-            kind,
-            ts,
-            lambda t: math.exp(log_cdf(x, t)),
-            lambda t: math.exp(log_cdf(y, t)),
-            ge=True,
-        )
-    if kind == "hr":
-        return _monotone(kind, ts, lambda t: _log_sf(x, t) - _log_sf(y, t), decreasing=True)
-    if kind == "rh":
-        return _monotone(kind, ts, lambda t: log_cdf(x, t) - log_cdf(y, t), decreasing=True)
-    if kind == "lr":
-        return _monotone(kind, ts, lambda t: log_pdf(x, t) - log_pdf(y, t), decreasing=True)
-    if kind == "mrl":
-        return _pointwise(kind, ts, lambda t: mrl(x, t), lambda t: mrl(y, t), ge=False)
-    if kind == "eit":
-        return _pointwise(kind, ts, lambda t: eit(x, t), lambda t: eit(y, t), ge=True)
-    if kind == "hmrl":
-        return _hmrl_report(x, y, ts)
-    if kind == "icx":
-        return _pointwise(
-            kind,
-            ts,
-            lambda t: sf(x, t) * mrl(x, t),
-            lambda t: sf(y, t) * mrl(y, t),
-            ge=False,
-        )
-    if kind == "icv":
-        return _pointwise(
-            kind,
-            ts,
-            lambda t: math.exp(log_cdf(x, t)) * eit(x, t),
-            lambda t: math.exp(log_cdf(y, t)) * eit(y, t),
-            ge=True,
-        )
-    if kind == "ttt":
-
-        def ttt_value(p: Params, u: float) -> float:
-            q = quantile(p, u)
-            return q - u * eit(p, q)
-
-        return _pointwise(
-            kind, ts, lambda u: ttt_value(x, u), lambda u: ttt_value(y, u), ge=False
-        )
-    # disp: quantile difference must widen with u.
-    return _monotone(
-        kind, ts, lambda u: quantile(y, u) - quantile(x, u), decreasing=False
-    )
+    if kind in _LOG_RATIO:
+        name = _LOG_RATIO[kind]
+        diffs = [a - b for a, b in zip(getattr(tx, name), getattr(ty, name))]
+        return _monotone(kind, ts, diffs, decreasing=True)
+    if kind == "disp":
+        # The quantile difference must widen with u.
+        diffs = [qy - qx for qx, qy in zip(tx.quantile, ty.quantile)]
+        return _monotone(kind, ts, diffs, decreasing=False)
+    name, ge = _POINTWISE[kind]
+    return _pointwise(kind, ts, getattr(tx, name), getattr(ty, name), ge)
 
 
 SUITE_ORDER_KINDS = ("lr", "hr", "rh", "mrl", "eit", "st", "hmrl", "ttt", "icx", "icv")
@@ -206,7 +236,8 @@ def common_scale_order_suite(
 
     Requires alpha1 < alpha2, the regime in which X precedes Y in the
     likelihood-ratio order and therefore in every weaker order checked here.
-    Returns one report per order; all should hold.
+    Returns one report per order; all should hold.  The ten checks share
+    each law's lattice tables for the duration of this call only.
     """
     if not alpha1 < alpha2:
         raise DomainError(
@@ -214,4 +245,8 @@ def common_scale_order_suite(
         )
     x = Params(alpha1, beta)
     y = Params(alpha2, beta)
-    return [check_order(kind, x, y, grid_size) for kind in SUITE_ORDER_KINDS]
+    token = _SHARED_TABLES.set({})
+    try:
+        return [check_order(kind, x, y, grid_size) for kind in SUITE_ORDER_KINDS]
+    finally:
+        _SHARED_TABLES.reset(token)

@@ -151,6 +151,14 @@ class TestSample:
                 "--n", "1000", "--seed", "7", "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sample", "--alpha", "1", "--beta", "1",
+                           "--n", "5", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert "seed" in err
+        assert not out.exists()
+
     def test_large_sample_passes_ks(self, tmp_path, capsys):
         out = tmp_path / "big.csv"
         n = 100_000

@@ -33,10 +33,16 @@ class TestValidate:
         assert validate(2.5, 0.3).beta == 0.3
 
     @pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (-2, 3), (math.nan, 1),
-                                      (1, math.inf), (math.inf, math.inf)])
+                                      (1, math.inf), (math.inf, math.inf),
+                                      (True, "1"), (1, "1"), (np.bool_(True), 1),
+                                      (1, False), (None, 1), (1, 1 + 0j)])
     def test_rejects_bad_pairs(self, a, b):
         with pytest.raises(DomainError):
             validate(a, b)
+
+    def test_accepts_python_and_numpy_numbers(self):
+        assert Params(np.int64(2), np.float32(0.5)) == Params(2.0, 0.5)
+        assert Params(1, 1) == Params(1.0, 1.0)
 
 
 class TestLogPdf:
@@ -109,6 +115,13 @@ class TestSample:
         for bad in (0, -1, 2.5):
             with pytest.raises(DomainError):
                 sample(p11, bad, seed=1)
+
+    def test_rejects_bad_seed(self, p11):
+        for bad in (-1, 2**128, 1.5, "7", None):
+            with pytest.raises(DomainError):
+                sample(p11, 10, seed=bad)
+        assert sample(p11, 3, seed=np.int64(5)).shape == (3,)
+        assert sample(p11, 3, seed=2**128 - 1).shape == (3,)
 
     def test_deterministic_and_in_open_interval(self, p11):
         a = sample(p11, 1000, seed=99)

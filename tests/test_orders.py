@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import unitgompertz.oracle
 from unitgompertz import (
     ORDER_KINDS,
+    SUITE_ORDER_KINDS,
     DomainError,
     OrderReport,
     Params,
@@ -14,6 +16,7 @@ from unitgompertz import (
     eit,
     log_pdf,
     common_scale_order_suite,
+    orders,
 )
 
 
@@ -91,6 +94,49 @@ class TestCommonScaleSuite:
             common_scale_order_suite(2.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             common_scale_order_suite(2.5, 2.0, 1.0)
+
+    def test_suite_matches_lone_checks(self):
+        x, y = Params(0.8, 0.4), Params(1.6, 0.4)
+        lone = [check_order(kind, x, y) for kind in SUITE_ORDER_KINDS]
+        assert common_scale_order_suite(0.8, 1.6, 0.4) == lone
+
+    def test_tables_are_shared_within_one_call_only(self, monkeypatch):
+        calls = {"mrl": 0, "integrate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(orders, "mrl", counted("mrl", orders.mrl))
+        monkeypatch.setattr(
+            unitgompertz.oracle, "integrate", counted("integrate", unitgompertz.oracle.integrate)
+        )
+        common_scale_order_suite(1.0, 2.0, 1.0, grid_size=128)
+        # One mrl table per law, read by the mrl, hmrl and icx checks.
+        assert calls == {"mrl": 2 * 128, "integrate": 0}
+        common_scale_order_suite(1.0, 2.0, 1.0, grid_size=128)
+        assert calls == {"mrl": 4 * 128, "integrate": 0}
+
+
+class TestHarmonicMeanResidualLife:
+    @pytest.mark.parametrize("a, b", [(0.2, 0.4), (0.8, 0.4), (1, 1), (2, 3), (6, 0.3)])
+    def test_closed_form_matches_mpmath(self, a, b):
+        mp = pytest.importorskip("mpmath")
+        ts = [1 / 129, 0.25, 0.5, 0.9, 128 / 129]
+        got = orders._Table(Params(a, b), ts).hmrl
+
+        def survival(u):
+            return -mp.expm1(-a * (mp.mpf(u) ** -b - 1))
+
+        # 30-digit integrals of sf itself: int_0^t du / mrl = ln int_0^1 sf - ln int_t^1 sf.
+        with mp.workdps(30):
+            log_mean = mp.log(mp.quad(survival, [0, 0.5, 1]))
+            for t, value in zip(ts, got):
+                want = t / (log_mean - mp.log(mp.quad(survival, [t, 1])))
+                assert abs(value / want - 1) <= 1e-10, (a, b, t)
 
 
 IMPLICATIONS = [
