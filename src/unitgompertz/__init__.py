@@ -20,7 +20,6 @@ from .distribution import (
     raw_moment,
     sample,
     sf,
-    validate,
 )
 from .entropy import renyi_entropy, shannon_entropy, song_measure
 from .errors import CancellationWarning, DomainError, OracleError
@@ -104,7 +103,6 @@ __all__ = [
     "common_scale_order_suite",
     "upper_inc_gamma",
     "upper_inc_gamma_scaled",
-    "validate",
 ]
 
 __version__ = "0.1.0"

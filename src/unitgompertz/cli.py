@@ -7,6 +7,10 @@ Subcommands:
     sample        write a one-column CSV of reproducible draws
     verify-paper  run the built-in battery of distributional checks
 
+`REGISTRY` is the single list of the functions `eval --fn` and
+`curve --fn` accept: where each lives, which flags follow (alpha, beta),
+and how a curve grid is clamped.
+
 Exit codes: 0 on success, 2 on a domain error (message to stderr), 3 when
 verification fails.  CSV numbers use the shortest round-trip decimal form,
 so files are byte-identical across runs for identical flags and seed.
@@ -15,9 +19,8 @@ so files are byte-identical across runs for identical flags and seed.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,29 +34,44 @@ from .orders import common_scale_order_suite
 # functions that blow up or leave their domain at 0 or 1.
 GRID_EPS = 1e-9
 
-EVAL_FUNCTIONS = (
-    "pdf", "logpdf", "cdf", "sf", "quantile", "hazard", "rhr", "mrl", "eit",
-    "mode", "lcbound", "moment", "condmoment", "meandev", "lorenz",
-    "bonferroni", "zenga", "renyi", "shannon", "song", "osmoment", "ssr",
-)
+# Tolerance of verify-paper's quadrature cross-checks.
+VERIFY_TOL = 1e-9
 
-# Curve functions of a support point x.
-_X_CURVES = ("pdf", "logpdf", "cdf", "sf", "hazard", "rhr", "mrl", "eit", "zenga")
-# Curve functions of a probability level (still emitted under an `x` header).
-_U_CURVES = ("quantile", "lorenz", "bonferroni")
+# Curve grid windows: [lo, hi] is intersected with the window.
+_OPEN = (-math.inf, math.inf)
+_OFF_0 = (GRID_EPS, math.inf)
+_OFF_1 = (-math.inf, 1.0 - GRID_EPS)
+_OFF_BOTH = (GRID_EPS, 1.0 - GRID_EPS)
 
-# Sides on which each curve function cannot be evaluated at the endpoint.
-_CLAMP_LO = {"logpdf", "rhr", "zenga", "eit", "quantile", "lorenz", "bonferroni"}
-_CLAMP_HI = {"hazard", "zenga"}
-
-
-@dataclass(frozen=True)
-class CurveSeries:
-    """Sampled curve: function name, parameters, and (x, y) points."""
-
-    name: str
-    params: Params
-    points: list[tuple[float, float]]
+# --fn name -> (module, function name on it, flags that follow --alpha and
+# --beta in call order, curve grid window or None if not a curve).  Each call
+# is `module.name(Params(alpha, beta), *flags)`; the name is looked up at call
+# time, so a patched module attribute is the one called.
+REGISTRY = {
+    "pdf": (dist, "pdf", ("x",), _OPEN),
+    "logpdf": (dist, "log_pdf", ("x",), _OFF_0),
+    "cdf": (dist, "cdf", ("x",), _OPEN),
+    "sf": (dist, "sf", ("x",), _OPEN),
+    "quantile": (dist, "quantile", ("u",), _OFF_0),
+    "hazard": (reliability, "hazard", ("x",), _OFF_1),
+    "rhr": (reliability, "reversed_hazard", ("x",), _OFF_0),
+    "mrl": (reliability, "mrl", ("x",), _OPEN),
+    "eit": (reliability, "eit", ("x",), _OFF_0),
+    "mode": (dist, "mode", (), None),
+    "lcbound": (dist, "log_concavity_bound", (), None),
+    "moment": (dist, "raw_moment", ("n",), None),
+    "condmoment": (reliability, "conditional_moment", ("n", "x"), None),
+    "meandev": (inequality, "mean_deviation_about", ("x",), None),
+    "lorenz": (inequality, "lorenz", ("u",), _OFF_0),
+    "bonferroni": (inequality, "bonferroni", ("u",), _OFF_0),
+    "zenga": (inequality, "zenga", ("x",), _OFF_BOTH),
+    "renyi": (entropy, "renyi_entropy", ("gamma",), None),
+    "shannon": (entropy, "shannon_entropy", (), None),
+    "song": (entropy, "song_measure", (), None),
+    "osmoment": (order_stats, "order_stat_moment", ("n", "j", "k"), None),
+    # The one function of two laws: strength (alpha1, beta1), stress (alpha2, beta2).
+    "ssr": (reliability, "stress_strength", ("alpha1", "beta1", "alpha2", "beta2"), None),
+}
 
 
 def _fmt(value: float) -> str:
@@ -71,61 +89,15 @@ def _require(args: argparse.Namespace, *names: str) -> list[float]:
     return out
 
 
-def _eval_value(args: argparse.Namespace) -> float:
-    fn = args.fn
-    if fn == "ssr":
-        a1, b1, a2, b2 = _require(args, "alpha1", "beta1", "alpha2", "beta2")
-        pair = reliability.StressStrengthPair(Params(a1, b1), Params(a2, b2))
-        return reliability.stress_strength(pair)
-
-    alpha, beta = _require(args, "alpha", "beta")
-    p = Params(alpha, beta)
-    if fn == "mode":
-        return dist.mode(p)
-    if fn == "lcbound":
-        return dist.log_concavity_bound(p)
-    if fn == "shannon":
-        return entropy.shannon_entropy(p)
-    if fn == "song":
-        return entropy.song_measure(p)
-    if fn == "renyi":
-        (g,) = _require(args, "gamma")
-        return entropy.renyi_entropy(p, g)
-    if fn == "moment":
-        (n,) = _require(args, "n")
-        return dist.raw_moment(p, int(n))
-    if fn == "condmoment":
-        n, x = _require(args, "n", "x")
-        return reliability.conditional_moment(p, int(n), x)
-    if fn == "osmoment":
-        n, j, k = _require(args, "n", "j", "k")
-        return order_stats.order_stat_moment(p, int(n), int(j), int(k))
-    if fn == "quantile":
-        (u,) = _require(args, "u")
-        return dist.quantile(p, u)
-    if fn in ("lorenz", "bonferroni"):
-        (u,) = _require(args, "u")
-        op = inequality.lorenz if fn == "lorenz" else inequality.bonferroni
-        return op(p, u)
-
-    (x,) = _require(args, "x")
-    point_ops = {
-        "pdf": dist.pdf,
-        "logpdf": dist.log_pdf,
-        "cdf": dist.cdf,
-        "sf": dist.sf,
-        "hazard": reliability.hazard,
-        "rhr": reliability.reversed_hazard,
-        "mrl": reliability.mrl,
-        "eit": reliability.eit,
-        "meandev": inequality.mean_deviation_about,
-        "zenga": inequality.zenga,
-    }
-    return point_ops[fn](p, x)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    value = _eval_value(args)
+    module, name, flags, _ = REGISTRY[args.fn]
+    if args.fn == "ssr":
+        a1, b1, a2, b2 = _require(args, *flags)
+        call_args = (reliability.StressStrengthPair(Params(a1, b1), Params(a2, b2)),)
+    else:
+        p = Params(*_require(args, "alpha", "beta"))
+        call_args = (p, *_require(args, *flags))
+    value = getattr(module, name)(*call_args)
     print(f"{value:.15g}")
     return 0
 
@@ -143,43 +115,19 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def curve_series(fn: str, p: Params, grid: str) -> CurveSeries:
-    """Evaluate one curve function over a lo:hi:count grid."""
-    if fn not in _X_CURVES + _U_CURVES:
-        raise DomainError(f"unknown curve function {fn!r}")
-    lo, hi, count = _parse_grid(grid)
-    if fn in _CLAMP_LO:
-        lo = max(lo, GRID_EPS)
-    if fn in _CLAMP_HI:
-        hi = min(hi, 1.0 - GRID_EPS)
-
-    ops = {
-        "pdf": dist.pdf,
-        "logpdf": dist.log_pdf,
-        "cdf": dist.cdf,
-        "sf": dist.sf,
-        "hazard": reliability.hazard,
-        "rhr": reliability.reversed_hazard,
-        "mrl": reliability.mrl,
-        "eit": reliability.eit,
-        "zenga": inequality.zenga,
-        "quantile": dist.quantile,
-        "lorenz": inequality.lorenz,
-        "bonferroni": inequality.bonferroni,
-    }
-    op = ops[fn]
-    points = []
+def _cmd_curve(args: argparse.Namespace) -> int:
+    module, name, _, window = REGISTRY[args.fn]
+    p = Params(args.alpha, args.beta)
+    lo, hi, count = _parse_grid(args.grid)
+    lo, hi = max(lo, window[0]), min(hi, window[1])
+    op = getattr(module, name)
+    points = []  # all computed before the file is opened, so a failure writes nothing
     for i in range(count):
         x = lo if count == 1 else lo + i * (hi - lo) / (count - 1)
         points.append((x, op(p, x)))
-    return CurveSeries(fn, p, points)
-
-
-def _cmd_curve(args: argparse.Namespace) -> int:
-    series = curve_series(args.fn, Params(args.alpha, args.beta), args.grid)
     with open(args.out, "w", newline="\n") as handle:
-        handle.write(f"x,{series.name}\n")
-        for x, y in series.points:
+        handle.write(f"x,{args.fn}\n")
+        for x, y in points:
             handle.write(f"{_fmt(x)},{_fmt(y)}\n")
     return 0
 
@@ -193,7 +141,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(tol: float):
+def _verify_checks():
     """Yield (name, passed, detail) for the verification battery."""
     p_shape = Params(0.25, 1.0)
     d2 = dist.log_pdf_second_derivative(p_shape, 0.5)
@@ -227,7 +175,7 @@ def _verify_checks(tol: float):
     detail = "integral of the density over (0, 1) = 1"
     for params in (Params(0.5, 0.5), Params(1.0, 1.0), Params(2.0, 3.0)):
         q = oracle.integrate(lambda t, p=params: dist.pdf(p, t), 0.0, 1.0, rel_tol=1e-12)
-        if abs(q.value - 1.0) > tol:
+        if abs(q.value - 1.0) > VERIFY_TOL:
             norm_ok = False
             detail = f"off by {q.value - 1.0:.3e} at {params}"
             break
@@ -240,7 +188,7 @@ def _verify_checks(tol: float):
         q = oracle.integrate(
             lambda t, p=params: t * dist.pdf(p, t), 0.0, 1.0, rel_tol=1e-12
         )
-        if abs(closed - q.value) > tol * abs(closed):
+        if abs(closed - q.value) > VERIFY_TOL * abs(closed):
             mom_ok = False
             detail = f"mismatch {closed!r} vs {q.value!r} at {params}"
             break
@@ -262,9 +210,8 @@ def _verify_checks(tol: float):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = float(os.environ.get("UG_TOL", "1e-9"))
     failures = 0
-    for name, passed, detail in _verify_checks(tol):
+    for name, passed, detail in _verify_checks():
         tag = "PASS" if passed else "FAIL"
         if not passed:
             failures += 1
@@ -284,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="print one function value")
-    p_eval.add_argument("--fn", required=True, choices=EVAL_FUNCTIONS)
+    p_eval.add_argument("--fn", required=True, choices=tuple(REGISTRY))
     p_eval.add_argument("--alpha", type=float)
     p_eval.add_argument("--beta", type=float)
     p_eval.add_argument("--x", type=float, help="support point in [0, 1]")
@@ -300,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(run=_cmd_eval)
 
     p_curve = sub.add_parser("curve", help="write a CSV of f over a grid")
-    p_curve.add_argument("--fn", required=True, choices=_X_CURVES + _U_CURVES)
+    curves = [fn for fn, (*_, window) in REGISTRY.items() if window is not None]
+    p_curve.add_argument("--fn", required=True, choices=curves)
     p_curve.add_argument("--alpha", type=float, required=True)
     p_curve.add_argument("--beta", type=float, required=True)
     p_curve.add_argument("--grid", required=True, help="lo:hi:count")
@@ -332,7 +280,3 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

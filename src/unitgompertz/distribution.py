@@ -60,20 +60,15 @@ class Params:
             object.__setattr__(self, name, v)
 
 
-def validate(alpha: float, beta: float) -> Params:
-    """Checked constructor; raises DomainError unless both are positive finite."""
-    return Params(alpha, beta)
-
-
 def _pow_neg_beta(x: float, beta: float) -> float:
     """x^(-beta) for x in (0, 1], saturating to inf instead of raising."""
     t = -beta * math.log(x)
     return math.exp(t) if t <= 709.0 else math.inf
 
 
-def _check_unit(x: float, lo: float = 0.0, hi: float = 1.0) -> None:
-    if not (lo <= x <= hi):
-        raise DomainError(f"x must lie in [{lo}, {hi}], got {x!r}")
+def _check_unit(x: float) -> None:
+    if not (0.0 <= x <= 1.0):
+        raise DomainError(f"x must lie in [0.0, 1.0], got {x!r}")
 
 
 def log_cdf(p: Params, x: float) -> float:

@@ -1,6 +1,6 @@
 """Independent ground truth: adaptive quadrature and seeded Monte Carlo.
 
-Every closed form in this package is validated against this module before it
+Every closed form in this package is checked against this module before it
 is trusted.  The integrator is an adaptive-bisection Gauss-Kronrod (G7/K15)
 rule; an infinite upper limit is folded onto (0, 1) by the substitution
 t = a + u/(1-u).  Monte Carlo expectations use numpy's Philox counter-based

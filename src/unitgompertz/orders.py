@@ -51,7 +51,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
-from .distribution import Params, log_cdf, log_pdf, quantile, raw_moment, sf
+from .distribution import Params, _as_count, log_cdf, log_pdf, quantile, raw_moment, sf
 from .errors import DomainError
 from .reliability import eit, mrl
 
@@ -208,8 +208,7 @@ def check_order(kind: str, x: Params, y: Params, grid_size: int = 128) -> OrderR
     """
     if kind not in ORDER_KINDS:
         raise DomainError(f"unknown order kind {kind!r}; choose from {ORDER_KINDS}")
-    if grid_size < 64:
-        raise DomainError(f"grid_size must be at least 64, got {grid_size!r}")
+    grid_size = _as_count(grid_size, 64, "grid_size")
     tables = _SHARED_TABLES.get({})
     tx, ty = (_table(tables, p, grid_size) for p in (x, y))
     ts = tx.ts

@@ -29,7 +29,7 @@ STRESS_STRENGTH_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class StressStrengthPair:
-    """Strength X and stress Y, each a validated unit-Gompertz Params."""
+    """Strength X and stress Y, each a checked unit-Gompertz Params."""
 
     strength: Params
     stress: Params

@@ -30,7 +30,6 @@ from .errors import DomainError, OracleError
 # Accuracy targets and guards, fixed here and nowhere else.
 REL_TOL_POS = 1e-12  # target relative error for shape >= 0
 REL_TOL_NEG = 1e-10  # target relative error for shape < 0 (recurrence budget)
-E1_REL_TOL = 1e-13  # exponential integral alias
 TAIL_REL_TOL = 1e-10  # log-squared tail integral
 _POS_GUARD_DIGITS = 3.5  # series-complement budget; 1e-16 * 10^3.5 stays under REL_TOL_POS
 _RECURRENCE_SAFETY = 0.5  # fraction of REL_TOL_NEG the running bound may claim
@@ -125,10 +124,6 @@ def _positive_by_series_with_err(s: float, x: float) -> tuple[float, float]:
     return result, 4.0 * _MACH_EPS * whole
 
 
-def _positive_by_series(s: float, x: float) -> float:
-    return _positive_by_series_with_err(s, x)[0]
-
-
 def _negative_by_recurrence(s: float, x: float) -> float:
     """Gamma(s, x) for s < 0, x < 1, carrying a running error bound.
 
@@ -168,7 +163,7 @@ def upper_inc_gamma(s: float, x: float) -> float:
     if x >= 1.0 and x >= s + 1.0:
         return _exp_or_inf(s * math.log(x) - x) * _cf_factor(s, x)
     if s > 0.0:
-        return _positive_by_series(s, x)
+        return _positive_by_series_with_err(s, x)[0]
     if s == 0.0:
         return _e1_series(x)
     return _negative_by_recurrence(s, x)

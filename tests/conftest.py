@@ -30,19 +30,9 @@ def assert_close(got: float, want: float, rel: float, label: str = "") -> None:
     assert err <= rel, f"{label} got {got!r}, want {want!r} (rel err {err:.3e} > {rel})"
 
 
-# Import hook so the helpers above can be pulled from conftest in test modules.
-__all__ = ["quad", "moment_by_quadrature", "rel_err", "assert_close"]
-
-
 def mrl_reference_param_sets():
     """Parameter sets whose mean residual life is asserted to decrease."""
     return [Params(2.0, 2.0), Params(1.0, 3.0), Params(0.5, 1.0)]
-
-
-def small_lattice():
-    """3x3 (alpha, beta) lattice used by several closed-form-vs-oracle gates."""
-    vals = (0.5, 1.0, 2.0)
-    return [Params(a, b) for a in vals for b in vals]
 
 
 def wide_lattice():

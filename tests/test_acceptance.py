@@ -309,9 +309,8 @@ def test_criterion_12_stochastic_order_suite():
                     assert flags[weaker], (x, y, stronger, weaker)
 
 
-def test_criterion_13_cli_verification_and_goldens(tmp_path, capsys, monkeypatch):
+def test_criterion_13_cli_verification_and_goldens(tmp_path, capsys):
     with criterion(13, "verify-paper exits 0 and curve CSVs are byte-stable"):
-        monkeypatch.delenv("UG_TOL", raising=False)
         assert cli_main(["verify-paper"]) == 0
         capsys.readouterr()
         figures = [

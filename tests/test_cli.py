@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from unitgompertz import Params, cdf
-from unitgompertz.cli import EVAL_FUNCTIONS, build_parser, main
+import unitgompertz as ug
+from unitgompertz import Params, cdf, cli
+from unitgompertz.cli import REGISTRY, build_parser, main
 
 
 def run(capsys, *argv):
@@ -63,9 +64,49 @@ class TestEval:
         eval_help = [a for a in build_parser()._subparsers._group_actions[0].choices.items()]
         eval_parser = dict(eval_help)["eval"]
         text = eval_parser.format_help()
-        for fn in EVAL_FUNCTIONS:
+        for fn in REGISTRY:
             assert fn in text
         assert "eval" in help_text
+
+    # Each --fn called directly on the library, to catch a miswired entry.
+    # At (0.3, 2) the mode and the log-concavity bound both lie inside (0, 1).
+    P = Params(0.3, 2.0)
+    DIRECT = {
+        "pdf": lambda p: ug.pdf(p, 0.6),
+        "logpdf": lambda p: ug.log_pdf(p, 0.6),
+        "cdf": lambda p: ug.cdf(p, 0.6),
+        "sf": lambda p: ug.sf(p, 0.6),
+        "quantile": lambda p: ug.quantile(p, 0.4),
+        "hazard": lambda p: ug.hazard(p, 0.6),
+        "rhr": lambda p: ug.reversed_hazard(p, 0.6),
+        "mrl": lambda p: ug.mrl(p, 0.6),
+        "eit": lambda p: ug.eit(p, 0.6),
+        "mode": ug.mode,
+        "lcbound": ug.log_concavity_bound,
+        "moment": lambda p: ug.raw_moment(p, 3),
+        "condmoment": lambda p: ug.conditional_moment(p, 3, 0.6),
+        "meandev": lambda p: ug.mean_deviation_about(p, 0.6),
+        "lorenz": lambda p: ug.lorenz(p, 0.4),
+        "bonferroni": lambda p: ug.bonferroni(p, 0.4),
+        "zenga": lambda p: ug.zenga(p, 0.6),
+        "renyi": lambda p: ug.renyi_entropy(p, 2.0),
+        "shannon": ug.shannon_entropy,
+        "song": ug.song_measure,
+        "osmoment": lambda p: ug.order_stat_moment(p, 3, 2, 1),
+        "ssr": lambda p: ug.stress_strength(
+            ug.StressStrengthPair(Params(1.0, 2.0), Params(3.0, 2.0))
+        ),
+    }
+
+    @pytest.mark.parametrize("fn", list(REGISTRY))
+    def test_registry_entry_matches_library(self, capsys, fn):
+        code, out, err = run(
+            capsys, "eval", "--fn", fn, "--alpha", "0.3", "--beta", "2", "--x", "0.6",
+            "--u", "0.4", "--gamma", "2", "--n", "3", "--j", "2", "--k", "1",
+            "--alpha1", "1", "--beta1", "2", "--alpha2", "3", "--beta2", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"{self.DIRECT[fn](self.P):.15g}\n"
 
 
 class TestCurve:
@@ -116,13 +157,20 @@ class TestCurve:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
 
-    def test_singular_endpoints_are_clamped(self, tmp_path, capsys):
-        out = tmp_path / "h.csv"
-        code, _, _ = run(capsys, "curve", "--fn", "hazard", "--alpha", "1", "--beta", "1",
-                         "--grid", "0:1:5", "--out", str(out))
+    @pytest.mark.parametrize("fn", [
+        "pdf", "logpdf", "cdf", "sf", "hazard", "rhr", "mrl", "eit", "zenga",
+        "quantile", "lorenz", "bonferroni",
+    ])
+    def test_singular_endpoints_are_clamped(self, tmp_path, capsys, fn):
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "curve", "--fn", fn, "--alpha", "1", "--beta", "1",
+                         "--grid", "0:1:3", "--out", str(out))
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert float(rows[-1][0]) == 1.0 - 1e-9
+        first = 1e-9 if fn in ("logpdf", "rhr", "eit", "zenga", "quantile", "lorenz",
+                               "bonferroni") else 0.0
+        last = 1.0 - 1e-9 if fn in ("hazard", "zenga") else 1.0
+        assert (float(rows[0][0]), float(rows[-1][0])) == (first, last)
         assert all(math.isfinite(float(y)) for _, y in rows)
 
     def test_bad_grid_exits_2(self, tmp_path, capsys):
@@ -174,15 +222,14 @@ class TestSample:
 
 
 class TestVerify:
-    def test_default_run_passes(self, capsys, monkeypatch):
-        monkeypatch.delenv("UG_TOL", raising=False)
+    def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify-paper")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
         assert lines and all(line.startswith("PASS") for line in lines)
 
     def test_tampered_tolerance_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("UG_TOL", "1e-30")
+        monkeypatch.setattr(cli, "VERIFY_TOL", 1e-30)
         code, out, err = run(capsys, "verify-paper")
         assert code == 3
         assert any(line.startswith("FAIL") for line in out.splitlines())

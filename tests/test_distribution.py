@@ -19,7 +19,6 @@ from unitgompertz import (
     raw_moment,
     sample,
     sf,
-    validate,
 )
 
 # Frozen by the quadrature oracle.
@@ -29,8 +28,8 @@ MEAN_12 = 0.7578721561413098
 
 class TestValidate:
     def test_accepts_positive_pairs(self):
-        assert validate(1, 1) == Params(1.0, 1.0)
-        assert validate(2.5, 0.3).beta == 0.3
+        assert Params(1, 1) == Params(1.0, 1.0)
+        assert Params(2.5, 0.3).beta == 0.3
 
     @pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (-2, 3), (math.nan, 1),
                                       (1, math.inf), (math.inf, math.inf),
@@ -38,7 +37,7 @@ class TestValidate:
                                       (1, False), (None, 1), (1, 1 + 0j)])
     def test_rejects_bad_pairs(self, a, b):
         with pytest.raises(DomainError):
-            validate(a, b)
+            Params(a, b)
 
     def test_accepts_python_and_numpy_numbers(self):
         assert Params(np.int64(2), np.float32(0.5)) == Params(2.0, 0.5)

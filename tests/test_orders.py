@@ -32,8 +32,9 @@ class TestReportContract:
     def test_kind_and_grid_validation(self):
         with pytest.raises(DomainError):
             check_order("nope", Params(1, 1), Params(2, 1))
-        with pytest.raises(DomainError):
-            check_order("st", Params(1, 1), Params(2, 1), grid_size=32)
+        for grid_size in (32, 100.5, "128"):
+            with pytest.raises(DomainError):
+                check_order("st", Params(1, 1), Params(2, 1), grid_size=grid_size)
 
 
 class TestReflexivity:
