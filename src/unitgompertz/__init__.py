@@ -103,6 +103,7 @@ __all__ = [
     "common_scale_order_suite",
     "upper_inc_gamma",
     "upper_inc_gamma_scaled",
+    "zenga",
 ]
 
 __version__ = "0.1.0"

@@ -62,8 +62,7 @@ class Params:
 
 def _pow_neg_beta(x: float, beta: float) -> float:
     """x^(-beta) for x in (0, 1], saturating to inf instead of raising."""
-    t = -beta * math.log(x)
-    return math.exp(t) if t <= 709.0 else math.inf
+    return specfun._exp_or_inf(-beta * math.log(x))
 
 
 def _check_unit(x: float) -> None:
@@ -146,6 +145,21 @@ def sample(p: Params, n: int, seed: int) -> np.ndarray:
     return np.minimum(x, np.nextafter(1.0, 0.0))
 
 
+def _lower_moment(p: Params, n: int, z: float) -> float:
+    """Integral of y^n f(y) over (0, x), with z = alpha * x^-beta.
+
+    alpha^(n/beta) * e^(alpha - z) * [e^z Gamma(1 - n/beta; z)]; 0.0 once
+    e^(alpha - z) underflows, without the gamma call (it fails past z = 2^53).
+    """
+    if p.alpha - z < -745.0:  # also z = inf
+        return 0.0
+    return (
+        p.alpha ** (n / p.beta)
+        * math.exp(p.alpha - z)
+        * specfun.upper_inc_gamma_scaled(1.0 - n / p.beta, z)
+    )
+
+
 def raw_moment(p: Params, n: int) -> float:
     """E[X^n] = alpha^(n/beta) * e^alpha * Gamma(1 - n/beta; alpha), n >= 1.
 
@@ -153,9 +167,7 @@ def raw_moment(p: Params, n: int) -> float:
     alpha > 0, so no extra existence condition on n versus beta is needed
     (nor imposed here).
     """
-    n = _as_count(n, 1, "moment order")
-    s = 1.0 - n / p.beta
-    return p.alpha ** (n / p.beta) * specfun.upper_inc_gamma_scaled(s, p.alpha)
+    return _lower_moment(p, _as_count(n, 1, "moment order"), p.alpha)
 
 
 def log_pdf_second_derivative(p: Params, x: float) -> float:

@@ -1,42 +1,40 @@
 """First incomplete moment, mean deviations, and Lorenz/Bonferroni/Zenga curves.
 
 The building block is m1(z) = integral of x f(x) over (0, z), the first
-incomplete moment, with m1(1) = mean.  The mean deviation about any point
-x0 reduces to
+incomplete moment, with m1(1) = mean: one call of the incomplete-moment
+kernel `distribution._lower_moment`, never mean - I1(z), which cancels as
+z -> 0.  The mean deviation about any point x0 reduces to
 
-    delta(x0) = 2*x0*F(x0) - mean + 2*I1(x0) - x0,
+    delta(x0) = 2*x0*F(x0) + mean - 2*m1(x0) - x0.
 
-where I1 is the tail moment from the reliability module.  The Lorenz curve
-has the closed form L(p) = alpha^(1/beta) e^alpha Gamma(1 - 1/beta;
-alpha/q^beta) / mean with q the p-quantile; it is finite for every beta > 0
-(not only beta > 1) because the incomplete-gamma lower limit stays positive
-on a bounded support.  Zenga's curve compares the conditional means below
-and above x.
+The Lorenz curve is L(p) = m1(q) / mean with q the p-quantile; it is finite
+for every beta > 0 (not only beta > 1) because the incomplete-gamma lower
+limit alpha / q^beta stays positive on a bounded support.  Zenga's curve
+compares the conditional means below and above x.
 """
 
 from __future__ import annotations
 
 import math
 
-from .distribution import Params, _pow_neg_beta, cdf, raw_moment, sf
+from .distribution import Params, _lower_moment, _pow_neg_beta, cdf, raw_moment, sf
 from .errors import DomainError
-from .reliability import partial_expectation
 from .specfun import upper_inc_gamma_scaled
 
 
 def first_incomplete_moment(p: Params, z: float) -> float:
-    """m1(z) = mean - I1(z) for z in (0, 1]; m1(1) is the mean."""
+    """m1(z) = integral of x f(x) over (0, z) for z in (0, 1]; m1(1) is the mean."""
     if not 0.0 < z <= 1.0:
         raise DomainError(f"first incomplete moment needs z in (0, 1], got {z!r}")
-    return raw_moment(p, 1) - partial_expectation(p, 1, z)
+    return _lower_moment(p, 1, p.alpha * _pow_neg_beta(z, p.beta))
 
 
 def mean_deviation_about(p: Params, x0: float) -> float:
     """E|X - x0| for an interior point x0."""
     if not 0.0 < x0 < 1.0:
         raise DomainError(f"mean deviation needs x0 in (0, 1), got {x0!r}")
-    mean = raw_moment(p, 1)
-    return 2.0 * x0 * cdf(p, x0) - mean + 2.0 * partial_expectation(p, 1, x0) - x0
+    m1 = first_incomplete_moment(p, x0)
+    return 2.0 * x0 * cdf(p, x0) + raw_moment(p, 1) - 2.0 * m1 - x0
 
 
 def lorenz(p: Params, prob: float) -> float:
@@ -47,18 +45,13 @@ def lorenz(p: Params, prob: float) -> float:
     """
     if not 0.0 < prob <= 1.0:
         raise DomainError(f"lorenz needs prob in (0, 1], got {prob!r}")
-    s = 1.0 - 1.0 / p.beta
-    w = p.alpha - math.log(prob)
-    numerator = (
-        p.alpha ** (1.0 / p.beta)
-        * math.exp(p.alpha - w)
-        * upper_inc_gamma_scaled(s, w)
-    )
-    return numerator / raw_moment(p, 1)
+    return _lower_moment(p, 1, p.alpha - math.log(prob)) / raw_moment(p, 1)
 
 
 def bonferroni(p: Params, prob: float) -> float:
     """Bonferroni curve B(p) = L(p) / p."""
+    if not 0.0 < prob <= 1.0:
+        raise DomainError(f"bonferroni needs prob in (0, 1], got {prob!r}")
     return lorenz(p, prob) / prob
 
 

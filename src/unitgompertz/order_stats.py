@@ -55,7 +55,7 @@ def order_stat_pdf(p: Params, n: int, j: int, x: float) -> float:
         total += (j - 1) * log_cdf(p, x)
     if j < n:
         total += (n - j) * math.log(sf(p, x))
-    return math.exp(total) if total > -745.0 else 0.0
+    return math.exp(total)
 
 
 def order_stat_moment(p: Params, n: int, j: int, k: int) -> float:

@@ -2,12 +2,11 @@
 
 Everything here reduces to the tail integral
 
-    I_n(t) = integral of y^n f(y) over (t, 1)
-           = alpha^(n/beta) * e^alpha * [Gamma(1 - n/beta; alpha)
-                                         - Gamma(1 - n/beta; alpha / t^beta)]
+    I_n(t) = integral of y^n f(y) over (t, 1) = E[X^n] - m_n(t),
 
-evaluated through the scaled incomplete gamma so the e^alpha factor never
-overflows.  The reversed hazard r(x) = alpha*beta / x^(1+beta) is strictly
+where the incomplete moment m_n over (0, t) comes from the kernel
+`distribution._lower_moment`, which keeps the e^alpha factor from
+overflowing.  The reversed hazard r(x) = alpha*beta / x^(1+beta) is strictly
 decreasing and the inactivity time is increasing for every parameter choice
 (the cdf is log-concave); the plain hazard rises to +inf at x = 1.
 """
@@ -18,9 +17,17 @@ import math
 from dataclasses import dataclass
 
 from . import oracle
-from .distribution import Params, _as_count, _pow_neg_beta, pdf, raw_moment, sf
+from .distribution import (
+    Params,
+    _as_count,
+    _lower_moment,
+    _pow_neg_beta,
+    pdf,
+    raw_moment,
+    sf,
+)
 from .errors import DomainError
-from .specfun import upper_inc_gamma_scaled
+from .specfun import _exp_or_inf, upper_inc_gamma_scaled
 
 # Relative tolerance for the stress-strength quadrature when the two scale
 # parameters differ and no closed form exists.
@@ -54,8 +61,7 @@ def reversed_hazard(p: Params, x: float) -> float:
     """Reversed hazard rate f(x) / F(x) = alpha * beta / x^(1 + beta)."""
     if not 0.0 < x <= 1.0:
         raise DomainError(f"reversed hazard needs x in (0, 1], got {x!r}")
-    t = math.log(p.alpha * p.beta) - (1.0 + p.beta) * math.log(x)
-    return math.exp(t) if t <= 709.0 else math.inf
+    return _exp_or_inf(math.log(p.alpha * p.beta) - (1.0 + p.beta) * math.log(x))
 
 
 def partial_expectation(p: Params, n: int, t: float) -> float:
@@ -67,26 +73,14 @@ def partial_expectation(p: Params, n: int, t: float) -> float:
     n = _as_count(n, 1, "moment order")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"partial expectation needs t in [0, 1], got {t!r}")
-    if t == 0.0:
-        return raw_moment(p, n)
-    if t == 1.0:
-        return 0.0
-    s = 1.0 - n / p.beta
-    z = p.alpha * _pow_neg_beta(t, p.beta)
-    head = upper_inc_gamma_scaled(s, p.alpha)
-    if not math.isfinite(z) or p.alpha - z < -745.0:
-        tail = 0.0
-    else:
-        tail = math.exp(p.alpha - z) * upper_inc_gamma_scaled(s, z)
-    return p.alpha ** (n / p.beta) * (head - tail)
+    below = _lower_moment(p, n, p.alpha * _pow_neg_beta(t, p.beta)) if t > 0.0 else 0.0
+    return raw_moment(p, n) - below
 
 
 def conditional_moment(p: Params, n: int, x: float) -> float:
     """E[X^n | X > x] for x in [0, 1); the conditioning event dies at x = 1."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"conditional moment needs x in [0, 1), got {x!r}")
-    if x == 0.0:
-        return raw_moment(p, n)
     return partial_expectation(p, n, x) / sf(p, x)
 
 
@@ -98,11 +92,9 @@ def mrl(p: Params, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"mrl needs t in [0, 1], got {t!r}")
-    if t == 0.0:
-        return raw_moment(p, 1)
     if t == 1.0:
         return 0.0
-    return partial_expectation(p, 1, t) / sf(p, t) - t
+    return conditional_moment(p, 1, t) - t
 
 
 def eit(p: Params, x: float) -> float:
@@ -134,12 +126,11 @@ def stress_strength(pair: StressStrengthPair) -> float:
     log_c = math.log(px.alpha * px.beta) + px.alpha + py.alpha
 
     def integrand(x: float) -> float:
-        t = (
+        return math.exp(
             log_c
             - (1.0 + px.beta) * math.log(x)
             - px.alpha * _pow_neg_beta(x, px.beta)
             - py.alpha * _pow_neg_beta(x, py.beta)
         )
-        return math.exp(t) if t > -745.0 else 0.0
 
     return oracle.integrate(integrand, 0.0, 1.0, rel_tol=STRESS_STRENGTH_REL_TOL).value

@@ -72,6 +72,7 @@ def _cf_factor(s: float, x: float) -> float:
 
 
 def _exp_or_inf(arg: float) -> float:
+    """e^arg, saturating to inf where math.exp would raise OverflowError."""
     return math.exp(arg) if arg <= 709.0 else math.inf
 
 
@@ -104,7 +105,7 @@ def _e1_series(x: float) -> float:
 
 def _quadrature_fallback(s: float, x: float, rel_tol: float = REL_TOL_NEG) -> float:
     def integrand(t: float) -> float:
-        return math.exp((s - 1.0) * math.log(t) - t) if t < 745.0 else 0.0
+        return math.exp((s - 1.0) * math.log(t) - t)
 
     return oracle.integrate(integrand, x, math.inf, rel_tol=rel_tol).value
 
@@ -193,7 +194,7 @@ def exp_integral_e1(x: float) -> float:
 def _log_sq_tail_scaled(a: float) -> float:
     """e^a * integral of e^(-t) ln(t)^2 over (a, inf), via t = a + u."""
     return oracle.integrate(
-        lambda u: math.exp(-u) * math.log(a + u) ** 2 if u < 745.0 else 0.0,
+        lambda u: math.exp(-u) * math.log(a + u) ** 2,
         0.0,
         math.inf,
         rel_tol=TAIL_REL_TOL,

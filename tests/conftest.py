@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the unit-Gompertz test suite."""
 
+import math
+
+import numpy as np
 import pytest
 
 from unitgompertz import Params, oracle, pdf
@@ -39,3 +42,26 @@ def wide_lattice():
     """5x5 lattice for normalization and moment checks."""
     vals = (0.25, 0.5, 1.0, 2.0, 5.0)
     return [Params(a, b) for a in vals for b in vals]
+
+
+# Independent numpy references for Monte Carlo checks: inverse-transform draws
+# and the log-density, written out here rather than taken from the library.
+def _ug_draws(p: Params, rng, size: int) -> np.ndarray:
+    u = 1.0 - rng.random(size)
+    return (p.alpha / (p.alpha - np.log(u))) ** (1.0 / p.beta)
+
+
+def _ug_sampler(p: Params):
+    """`_ug_draws` as an `oracle.mc_expect` sampler."""
+    def sampler(rng, size):
+        return _ug_draws(p, rng, size)
+
+    return sampler
+
+
+def _log_pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
+    return (
+        math.log(p.alpha * p.beta)
+        - p.alpha * (x**-p.beta - 1.0)
+        - (1.0 + p.beta) * np.log(x)
+    )

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import unitgompertz as ug
-from conftest import quad
+from conftest import _log_pdf_array, _ug_draws, quad
 from unitgompertz import Params
 from unitgompertz.cli import main as cli_main
 
@@ -37,19 +37,6 @@ def criterion(num: int, title: str):
 
 def _random_params(rng, lo_a=0.1, hi_a=4.0, lo_b=0.3, hi_b=4.0) -> Params:
     return Params(float(rng.uniform(lo_a, hi_a)), float(rng.uniform(lo_b, hi_b)))
-
-
-def _ug_draws(p: Params, rng, size: int) -> np.ndarray:
-    u = 1.0 - rng.random(size)
-    return (p.alpha / (p.alpha - np.log(u))) ** (1.0 / p.beta)
-
-
-def _log_pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
-    return (
-        math.log(p.alpha * p.beta)
-        - p.alpha * (x**-p.beta - 1.0)
-        - (1.0 + p.beta) * np.log(x)
-    )
 
 
 def test_criterion_1_convexity_counterexample():

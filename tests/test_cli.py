@@ -54,6 +54,14 @@ class TestEval:
         assert out == ""
         assert "domain error" in err
 
+    def test_bonferroni_names_itself_in_domain_errors(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--fn", "bonferroni", "--alpha", "1.5", "--beta", "2", "--u", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "bonferroni" in err
+
     def test_missing_argument_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "pdf", "--alpha", "1", "--beta", "1")
         assert code == 2

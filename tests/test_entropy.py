@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close, quad
+from conftest import _log_pdf_array, _ug_sampler, assert_close, quad
 from unitgompertz import (
     DomainError,
     Params,
@@ -21,22 +21,6 @@ from unitgompertz import (
 # Frozen by the quadrature oracle: E1(1).
 E1_AT_1 = 0.21938393439551956
 SHANNON_11 = 1.0 - 2.0 * math.e * E1_AT_1
-
-
-def _ug_sampler(p: Params):
-    def sampler(rng, size):
-        u = 1.0 - rng.random(size)
-        return (p.alpha / (p.alpha - np.log(u))) ** (1.0 / p.beta)
-
-    return sampler
-
-
-def _log_pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
-    return (
-        math.log(p.alpha * p.beta)
-        - p.alpha * (x**-p.beta - 1.0)
-        - (1.0 + p.beta) * np.log(x)
-    )
 
 
 class TestRenyi:

@@ -45,6 +45,15 @@ class TestFirstIncompleteMoment:
         with pytest.raises(DomainError):
             first_incomplete_moment(p11, 0.0)
 
+    @pytest.mark.parametrize("z", [0.02, 0.05, 0.1])
+    def test_lower_tail_matches_mpmath(self, p11, z):
+        # m1(0.02) is about 1e-23, far below the mean: formed as mean - I1(z)
+        # it cancels to nothing.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = mp.quad(lambda x: x * mp.exp(1 - 1 / x) / x**2, [0, z / 2, mp.mpf(z)])
+            assert_close(first_incomplete_moment(p11, z), float(want), 1e-12, f"m1({z})")
+
 
 class TestMeanDeviation:
     def test_about_the_mean_formula(self, p11):

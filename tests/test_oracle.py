@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import _ug_sampler
 from unitgompertz import DomainError, OracleError, Params, oracle, pdf
 
 
@@ -56,34 +57,28 @@ def test_bad_bounds_and_tolerance():
         oracle.integrate(lambda x: x, 0.0, 1.0, rel_tol=0.0)
 
 
-def _ug_sampler(alpha, beta):
-    def sampler(rng, size):
-        u = 1.0 - rng.random(size)
-        return (alpha / (alpha - np.log(u))) ** (1.0 / beta)
-
-    return sampler
-
-
 def test_mc_mean_of_unit_gompertz():
     # Frozen by the quadrature oracle: mean of the (1, 1) law.
     mean_11 = 0.5963473623231923
-    res = oracle.mc_expect(_ug_sampler(1.0, 1.0), lambda x: x, 1_000_000, seed=42)
+    res = oracle.mc_expect(_ug_sampler(Params(1.0, 1.0)), lambda x: x, 1_000_000, seed=42)
     assert abs(res.mean - mean_11) <= 4.0 * res.std_error
     assert res.std_error < 1e-3
 
 
 def test_mc_constant_function():
-    res = oracle.mc_expect(_ug_sampler(1.0, 1.0), lambda x: np.ones_like(x), 1000, seed=7)
+    res = oracle.mc_expect(
+        _ug_sampler(Params(1.0, 1.0)), lambda x: np.ones_like(x), 1000, seed=7
+    )
     assert res.mean == 1.0
     assert res.std_error == 0.0
 
 
 def test_mc_deterministic_for_fixed_seed():
-    a = oracle.mc_expect(_ug_sampler(2.0, 0.5), lambda x: x * x, 5000, seed=123)
-    b = oracle.mc_expect(_ug_sampler(2.0, 0.5), lambda x: x * x, 5000, seed=123)
+    a = oracle.mc_expect(_ug_sampler(Params(2.0, 0.5)), lambda x: x * x, 5000, seed=123)
+    b = oracle.mc_expect(_ug_sampler(Params(2.0, 0.5)), lambda x: x * x, 5000, seed=123)
     assert a == b
 
 
 def test_mc_minimum_sample_size():
     with pytest.raises(DomainError):
-        oracle.mc_expect(_ug_sampler(1.0, 1.0), lambda x: x, 99, seed=1)
+        oracle.mc_expect(_ug_sampler(Params(1.0, 1.0)), lambda x: x, 99, seed=1)
