@@ -123,7 +123,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     op = getattr(module, name)
     points = []  # all computed before the file is opened, so a failure writes nothing
     for i in range(count):
-        x = lo if count == 1 else lo + i * (hi - lo) / (count - 1)
+        if count == 1:
+            x = lo
+        elif i == count - 1:
+            x = hi  # lo + (count-1)*(hi-lo)/(count-1) can round past hi
+        else:
+            x = lo + i * (hi - lo) / (count - 1)
         points.append((x, op(p, x)))
     with open(args.out, "w", newline="\n") as handle:
         handle.write(f"x,{args.fn}\n")

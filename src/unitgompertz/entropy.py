@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .distribution import Params
+from .distribution import Params, _head
 from .errors import DomainError
 from .specfun import _log_sq_tail_scaled, upper_inc_gamma_scaled
 
@@ -53,7 +53,7 @@ def renyi_entropy(p: Params, gamma: float) -> float:
 def shannon_entropy(p: Params) -> float:
     """Shannon entropy E[-ln f(X)] in closed form."""
     a, b = p.alpha, p.beta
-    return 1.0 - math.log(a * b) - (1.0 + b) / b * upper_inc_gamma_scaled(0.0, a)
+    return 1.0 - math.log(a * b) - (1.0 + b) / b * _head(0.0, a)
 
 
 def song_measure(p: Params) -> float:
@@ -64,7 +64,7 @@ def song_measure(p: Params) -> float:
     """
     a, b = p.alpha, p.beta
     c = 1.0 + 1.0 / b
-    g0 = upper_inc_gamma_scaled(0.0, a)  # e^alpha Gamma(0; alpha)
+    g0 = _head(0.0, a)  # e^alpha Gamma(0; alpha)
     k = _log_sq_tail_scaled(a)  # e^alpha * tail integral of e^-t (ln t)^2
     derivative = (b + 2.0) / (2.0 * b) - 0.5 * (
         a * (a - 2.0 * c * math.log(a))

@@ -3,7 +3,9 @@
 The building block is m1(z) = integral of x f(x) over (0, z), the first
 incomplete moment, with m1(1) = mean: one call of the incomplete-moment
 kernel `distribution._lower_moment`, never mean - I1(z), which cancels as
-z -> 0.  The mean deviation about any point x0 reduces to
+z -> 0.  The mean and Zenga's e^alpha * Gamma(1 - 1/beta; alpha) are the
+per-law constant, computed once in `distribution._head`.  The mean
+deviation about any point x0 reduces to
 
     delta(x0) = 2*x0*F(x0) + mean - 2*m1(x0) - x0.
 
@@ -17,7 +19,15 @@ from __future__ import annotations
 
 import math
 
-from .distribution import Params, _lower_moment, _pow_neg_beta, cdf, raw_moment, sf
+from .distribution import (
+    Params,
+    _head,
+    _lower_moment,
+    _pow_neg_beta,
+    cdf,
+    raw_moment,
+    sf,
+)
 from .errors import DomainError
 from .specfun import upper_inc_gamma_scaled
 
@@ -69,7 +79,7 @@ def zenga(p: Params, x: float) -> float:
     z = p.alpha * _pow_neg_beta(x, p.beta)
     if not math.isfinite(z):
         return 1.0  # x so small that the lower conditional mean vanishes
-    head = upper_inc_gamma_scaled(s, p.alpha)
+    head = _head(s, p.alpha)
     gamma_z = upper_inc_gamma_scaled(s, z)
     tail = math.exp(p.alpha - z) * gamma_z
     # Gamma(s; z) * e^z * sf / (e^alpha [Gamma(s;alpha) - Gamma(s;z)]) with

@@ -6,9 +6,11 @@ Everything here reduces to the tail integral
 
 where the incomplete moment m_n over (0, t) comes from the kernel
 `distribution._lower_moment`, which keeps the e^alpha factor from
-overflowing.  The reversed hazard r(x) = alpha*beta / x^(1+beta) is strictly
-decreasing and the inactivity time is increasing for every parameter choice
-(the cdf is log-concave); the plain hazard rises to +inf at x = 1.
+overflowing, and E[X^n] from `raw_moment`, whose per-law constant
+e^alpha * Gamma(1 - n/beta; alpha) is computed once in `distribution._head`.
+The reversed hazard r(x) = alpha*beta / x^(1+beta) is strictly decreasing
+and the inactivity time is increasing for every parameter choice (the cdf
+is log-concave); the plain hazard rises to +inf at x = 1.
 """
 
 from __future__ import annotations

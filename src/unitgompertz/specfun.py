@@ -72,8 +72,11 @@ def _cf_factor(s: float, x: float) -> float:
 
 
 def _exp_or_inf(arg: float) -> float:
-    """e^arg, saturating to inf where math.exp would raise OverflowError."""
-    return math.exp(arg) if arg <= 709.0 else math.inf
+    """e^arg, saturating to inf where math.exp raises OverflowError."""
+    try:
+        return math.exp(arg)
+    except OverflowError:
+        return math.inf
 
 
 def _lower_series(s: float, x: float) -> float:

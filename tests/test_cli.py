@@ -181,6 +181,16 @@ class TestCurve:
         assert (float(rows[0][0]), float(rows[-1][0])) == (first, last)
         assert all(math.isfinite(float(y)) for _, y in rows)
 
+    @pytest.mark.parametrize("grid", ["0:1:11", "0:1:41"])
+    @pytest.mark.parametrize("fn", ["quantile", "rhr", "eit", "lorenz", "bonferroni"])
+    def test_last_point_is_hi_after_the_window_moves_lo(self, tmp_path, capsys, fn, grid):
+        # lo = 1e-9 here, and lo + (count-1)*(hi-lo)/(count-1) rounds to 1 + 2^-52.
+        out = tmp_path / "c.csv"
+        code, _, err = run(capsys, "curve", "--fn", fn, "--alpha", "1", "--beta", "1",
+                           "--grid", grid, "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_text().splitlines()[-1].split(",")[0] == "1.0"
+
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "curve", "--fn", "pdf", "--alpha", "1", "--beta", "1",
                            "--grid", "0.5:0.1:5", "--out", str(tmp_path / "x.csv"))

@@ -156,7 +156,7 @@ class TestMoments:
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_order(self, p11):
-        for bad in (0, -1, 1.5):
+        for bad in (0, -1, 1.5, "1", [1]):
             with pytest.raises(DomainError):
                 raw_moment(p11, bad)
 

@@ -58,6 +58,14 @@ class TestReversedHazard:
         assert reversed_hazard(p11, 0.5) == pytest.approx(4.0, rel=1e-14)
         assert reversed_hazard(p11, 1.0) == pytest.approx(1.0, rel=1e-14)
 
+    def test_finite_up_to_the_overflow_point(self):
+        # e^709.5 is finite: arguments of exp between 709 and ~709.78 do not overflow.
+        x = math.exp(-354.75)
+        want = (1.0 / x) ** 2
+        got = reversed_hazard(Params(1.0, 1.0), x)
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-15 * want
+
     def test_is_pdf_over_cdf(self):
         p = Params(2.0, 3.0)
         got = reversed_hazard(p, 0.7)
