@@ -35,8 +35,10 @@ from .errors import DomainError
 
 
 def _as_count(n, minimum: int, what: str) -> int:
-    """Coerce an int-like argument (Python or numpy) with a lower bound."""
+    """Coerce an int-like argument (Python or numpy, not bool) with a lower bound."""
     try:
+        if isinstance(n, bool):  # an int subclass, but never a count
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {n!r}") from None
@@ -60,7 +62,10 @@ class Params:
                 isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
             ):
                 raise DomainError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:
+                raise DomainError(f"{name} is past the double range") from None
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)

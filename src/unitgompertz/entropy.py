@@ -10,8 +10,8 @@ integral of f^g, which for this law collapses to incomplete-gamma terms:
 The Shannon entropy is the g -> 1 limit, 1 - ln(alpha*beta)
 - (1+beta) e^alpha Gamma(0; alpha) / beta.  The shape measure returned by
 `song_measure` is -2 times the derivative of the Renyi entropy at g = 1,
-which equals Var[ln f(X)]; the closed form needs the tail integral of
-e^(-t) (ln t)^2.
+which equals Var[ln f(X)]; the closed form needs E1 and the tail integral
+of e^(-t) (ln t)^2, both at alpha.
 """
 
 from __future__ import annotations
@@ -60,15 +60,13 @@ def song_measure(p: Params) -> float:
     """Shape measure -2 * d/dg Renyi(g) at g = 1, equal to Var[ln f(X)].
 
     Plays the role kurtosis plays for tail-weight comparisons, and is
-    invariant under location/scale changes.  Always nonnegative.
+    invariant under location/scale changes.  Always nonnegative.  With
+    T = alpha X^-beta, where T - alpha ~ Exp(1), ln f(X) = c ln T - T + const
+    for c = 1 + 1/beta, so Var[ln f(X)] = Var[T] - 2c Cov(ln T, T) + c^2 Var[ln T]
+    with Var[T] = 1, Cov(ln T, T) = 1 - alpha g0 and E[ln T] = ln alpha + g0.
     """
     a, b = p.alpha, p.beta
     c = 1.0 + 1.0 / b
     g0 = _head(0.0, a)  # e^alpha Gamma(0; alpha)
-    k = _log_sq_tail_scaled(a)  # e^alpha * tail integral of e^-t (ln t)^2
-    derivative = (b + 2.0) / (2.0 * b) - 0.5 * (
-        a * (a - 2.0 * c * math.log(a))
-        - (c * (math.log(a) + g0) - a) ** 2
-        + c * c * k
-    )
-    return -2.0 * derivative
+    k = _log_sq_tail_scaled(a)  # E[(ln T)^2]: e^alpha * tail integral of e^-t (ln t)^2
+    return 1.0 - 2.0 * c * (1.0 - a * g0) + c * c * (k - (math.log(a) + g0) ** 2)

@@ -7,38 +7,44 @@ fractional s (inactivity times, Lorenz-type curves), and at moderate
 positive s, often multiplied by e^x; the scaled form e^x * Gamma(s; x) is
 exposed separately because those products otherwise over/underflow.
 
-Evaluation regimes:
+Evaluation regimes, each a closed series or continued fraction:
 
 * x >= max(1, s + 1): Legendre continued fraction (modified Lentz).
-* x < max(1, s + 1), s > 0: power series for the lower incomplete gamma,
+* x < s + 1, s >= 1/2: power series for the lower incomplete gamma,
   complemented through the complete gamma function.
-* s = 0, x <= 1: classical E1 series.
-* s < 0, x < 1: downward recurrence Gamma(s, x) = (Gamma(s+1, x)
-  - x^s e^(-x)) / s from the fractional seed s - floor(s).  A first-order
-  error bound rides along with the iteration (the subtraction is where the
-  digits go); the moment it can no longer certify REL_TOL_NEG, the value is
-  recomputed by adaptive quadrature instead.
+* x < max(1, s + 1), s < 1/2: Gautschi's entire-function form at the seed
+  a = s - floor(s + 1/2) in [-1/2, 1/2),
+  Gamma(a, x) = (Gamma(1+a) - 1)/a - (x^a - 1)/a
+                - x^a * sum_{k>=1} (-x)^k / (k! (a + k)),
+  which at a = 0 is the E1 series; then the downward recurrence
+  Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^(-x)) / (a-1) down to s.  From a
+  seed at or below 1/2 no step cancels more than a few bits.
+
+The tail integral of e^(-t) (ln t)^2 over (a, inf) is gamma^2 + pi^2/6 minus
+the termwise-integrated power series of e^(-t) for small a, and the second
+s-derivative of the Legendre continued fraction at s = 1 above that.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import oracle
 from .errors import DomainError, OracleError
 
-# Accuracy targets and guards, fixed here and nowhere else.
-REL_TOL_POS = 1e-12  # target relative error for shape >= 0
-REL_TOL_NEG = 1e-10  # target relative error for shape < 0 (recurrence budget)
-TAIL_REL_TOL = 1e-10  # log-squared tail integral
-_POS_GUARD_DIGITS = 3.5  # series-complement budget; 1e-16 * 10^3.5 stays under REL_TOL_POS
-_RECURRENCE_SAFETY = 0.5  # fraction of REL_TOL_NEG the running bound may claim
-
-_EULER = 0.57721566490153286060651209008240243
 _EPS = 1.0e-16
-_MACH_EPS = 2.220446049250313e-16
 _TINY = 1.0e-300
 _MAX_ITER = 10_000
+# 1/Gamma(1 + a) = 1 + a * sum_k _RGAMMA_Q[k] a^k (A&S 6.1.34); twelve terms
+# reach double precision for |a| < _RGAMMA_SEAM, where gamma(a) - x^a/a cancels.
+_RGAMMA_Q = (
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+)
+_RGAMMA_SEAM = 0.1
+_LOG_SQ_TOTAL = 1.978111990655945  # gamma^2 + pi^2/6, the (0, inf) log-squared integral
+_LOG_SQ_SEAM = 1.5  # series below, continued fraction at and above (errors cross here)
 
 
 def _check_args(s: float, x: float) -> None:
@@ -93,84 +99,56 @@ def _lower_series(s: float, x: float) -> float:
     raise OracleError(f"series for lower incomplete gamma({s}, {x}) did not converge")
 
 
-def _e1_series(x: float) -> float:
-    """E1(x) by the alternating series; x <= 1."""
-    total = -_EULER - math.log(x)
+def _small_x(s: float, x: float) -> float:
+    """Gamma(s, x) for s < 1/2, x < max(1, s + 1): Gautschi's seed, then recurrence.
+
+    The seed's first two pieces, (Gamma(1+a) - 1)/a - (x^a - 1)/a, are
+    regrouped into gamma(a) - x^a/a once |a| >= _RGAMMA_SEAM, where they
+    no longer cancel.
+    """
+    a = s - math.floor(s + 0.5)  # in [-1/2, 1/2)
+    total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER):
         term *= -x / k
-        contrib = -term / k
+        contrib = term / (a + k)
         total += contrib
-        if abs(contrib) < (abs(total) + _TINY) * _EPS:
-            return total
-    raise OracleError(f"E1 series at {x} did not converge")
-
-
-def _quadrature_fallback(s: float, x: float, rel_tol: float = REL_TOL_NEG) -> float:
-    def integrand(t: float) -> float:
-        return math.exp((s - 1.0) * math.log(t) - t)
-
-    return oracle.integrate(integrand, x, math.inf, rel_tol=rel_tol).value
-
-
-def _positive_by_series_with_err(s: float, x: float) -> tuple[float, float]:
-    """Gamma(s, x) for s > 0, x < s + 1, with an absolute error estimate.
-
-    As s -> 0 both Gamma(s) and the lower integral blow up like 1/s while
-    the difference stays O(1); past the digit budget the subtraction is
-    abandoned for direct quadrature.
-    """
-    whole = math.gamma(s)
-    result = whole - _lower_series(s, x)
-    if result <= 0.0 or math.log10(whole / result) > _POS_GUARD_DIGITS:
-        value = _quadrature_fallback(s, x, rel_tol=REL_TOL_POS)
-        return value, REL_TOL_POS * value
-    return result, 4.0 * _MACH_EPS * whole
-
-
-def _negative_by_recurrence(s: float, x: float) -> float:
-    """Gamma(s, x) for s < 0, x < 1, carrying a running error bound.
-
-    Each downward step subtracts x^a e^(-x) from a same-sized quantity; the
-    accumulated first-order bound decides when the result can no longer be
-    certified to REL_TOL_NEG and quadrature takes over.
-    """
-    seed = s - math.floor(s)  # in [0, 1)
-    steps = round(seed - s)
-    if seed == 0.0:
-        g = _e1_series(x)
-        err = 4.0 * _MACH_EPS * (abs(g) + 1.0)
+        if abs(contrib) <= abs(total) * _EPS:
+            break
     else:
-        g, err = _positive_by_series_with_err(seed, x)
-    a = seed
-    log_x = math.log(x)
-    for _ in range(steps):
-        a -= 1.0
-        t = math.exp(a * log_x - x)  # x^a e^(-x)
-        num = g - t
-        err += _MACH_EPS * (abs(g) + t)
-        if num == 0.0 or err > _RECURRENCE_SAFETY * REL_TOL_NEG * abs(num):
-            return _quadrature_fallback(s, x)
-        g = num / a
-        err = err / abs(a) + _MACH_EPS * abs(g)
+        raise OracleError(f"series for Gamma({a}, {x}) did not converge")
+    if abs(a) >= _RGAMMA_SEAM:
+        g = math.gamma(a) - x**a * (1.0 / a + total)
+    elif a == 0.0:  # the E1 series; _RGAMMA_Q[0] is Euler's constant
+        g = -_RGAMMA_Q[0] - math.log(x) - total
+    else:
+        q = 0.0
+        for c in reversed(_RGAMMA_Q):
+            q = q * a + c
+        # 1/Gamma(1+a) = 1 + a*q, so (Gamma(1+a) - 1)/a = -q / (1 + a*q).
+        g = -q / (1.0 + a * q) - math.expm1(a * math.log(x)) / a - x**a * total
+    steps = round(a - s)
+    if steps:
+        e_x = math.exp(-x)
+        for _ in range(steps):
+            a -= 1.0
+            g = (g - x**a * e_x) / a
     return g
 
 
 def upper_inc_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s; x) for any finite real s and x > 0.
 
-    Relative accuracy targets REL_TOL_POS for s >= 0 and REL_TOL_NEG for
-    s < 0.  The result is positive; it underflows to 0.0 only when the true
-    value is below the smallest subnormal double.
+    Relative accuracy is 1e-12 for s >= 0 and 1e-10 for s < 0.  The result
+    is positive; it underflows to 0.0 only when the true value is below the
+    smallest subnormal double.
     """
     _check_args(s, x)
     if x >= 1.0 and x >= s + 1.0:
         return _exp_or_inf(s * math.log(x) - x) * _cf_factor(s, x)
-    if s > 0.0:
-        return _positive_by_series_with_err(s, x)[0]
-    if s == 0.0:
-        return _e1_series(x)
-    return _negative_by_recurrence(s, x)
+    if s >= 0.5:
+        return math.gamma(s) - _lower_series(s, x)
+    return _small_x(s, x)
 
 
 def upper_inc_gamma_scaled(s: float, x: float) -> float:
@@ -195,20 +173,56 @@ def exp_integral_e1(x: float) -> float:
 
 
 def _log_sq_tail_scaled(a: float) -> float:
-    """e^a * integral of e^(-t) ln(t)^2 over (a, inf), via t = a + u."""
-    return oracle.integrate(
-        lambda u: math.exp(-u) * math.log(a + u) ** 2,
-        0.0,
-        math.inf,
-        rel_tol=TAIL_REL_TOL,
-    ).value
+    """e^a * integral of e^(-t) ln(t)^2 over (a, inf), a > 0."""
+    if a < _LOG_SQ_SEAM:
+        # Integral over (0, a) term by term in e^-t = sum (-t)^(m-1) / (m-1)!:
+        # integral of t^(m-1) ln(t)^2 over (0, a) = a^m ((m ln a - 1)^2 + 1) / m^3.
+        log_a = math.log(a)
+        head = 0.0
+        term = a  # (-1)^(m-1) a^m / (m-1)!
+        for m in range(1, _MAX_ITER):
+            contrib = term * ((m * log_a - 1.0) ** 2 + 1.0) / m**3
+            head += contrib
+            if abs(contrib) <= abs(head) * _EPS:
+                return math.exp(a) * (_LOG_SQ_TOTAL - head)
+            term *= -a / m
+        raise OracleError(f"log-squared series at {a} did not converge")
+    # e^a Gamma(s, a) = a^s h(s, a); at s = 1 the second s-derivative is
+    # a (ln(a)^2 h + 2 ln(a) h' + h'').  Lentz's method below carries each of
+    # b, d, c, delta and h as (value, d/ds, d^2/ds^2), with b' = -1, an' = i.
+    bv = a  # b = a + 1 - s at s = 1
+    dv, d1, d2 = 1.0 / bv, 1.0 / (bv * bv), 2.0 / (bv * bv * bv)
+    cv, c1, c2 = 1.0 / _TINY, 0.0, 0.0
+    hv, h1, h2 = dv, d1, d2
+    for i in range(1, _MAX_ITER):
+        av = -i * (i - 1.0)
+        bv += 2.0
+        # d <- 1 / (an d + b)
+        nv = av * dv + bv
+        n1 = i * dv + av * d1 - 1.0
+        n2 = 2.0 * i * d1 + av * d2
+        dv = 1.0 / nv
+        d1 = -n1 * dv * dv
+        d2 = (2.0 * n1 * n1 * dv - n2) * dv * dv
+        # c <- b + an / c
+        iv = 1.0 / cv
+        i1 = -c1 * iv * iv
+        i2 = (2.0 * c1 * c1 * iv - c2) * iv * iv
+        cv, c1, c2 = bv + av * iv, i * iv + av * i1 - 1.0, 2.0 * i * i1 + av * i2
+        # h <- h * d * c
+        ev, e1, e2 = dv * cv, d1 * cv + dv * c1, d2 * cv + 2.0 * d1 * c1 + dv * c2
+        hv, h1, h2 = hv * ev, h1 * ev + hv * e1, h2 * ev + 2.0 * h1 * e1 + hv * e2
+        if abs(ev - 1.0) + abs(e1) + abs(e2) < _EPS:
+            log_a = math.log(a)
+            return a * ((log_a * hv + 2.0 * h1) * log_a + h2)
+    raise OracleError(f"continued fraction for the log-squared tail at {a} did not converge")
 
 
 def log_sq_tail_integral(a: float) -> float:
     """Integral of e^(-t) (ln t)^2 over (a, inf), a > 0.
 
-    Computed under the substitution t = a + u so the quadrature never sees
-    the exponentially small prefactor; relative accuracy TAIL_REL_TOL.
+    The scaled form e^a * integral is computed in closed form (series or
+    continued fraction) so the exponentially small prefactor is applied once.
     """
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError(f"tail integral needs a > 0, got {a!r}")

@@ -34,7 +34,9 @@ class TestValidate:
     @pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (-2, 3), (math.nan, 1),
                                       (1, math.inf), (math.inf, math.inf),
                                       (True, "1"), (1, "1"), (np.bool_(True), 1),
-                                      (1, False), (None, 1), (1, 1 + 0j)])
+                                      (1, False), (None, 1), (1, 1 + 0j),
+                                      pytest.param(10**400, 1, id="alpha-past-double"),
+                                      pytest.param(1, -(10**400), id="beta-past-double")])
     def test_rejects_bad_pairs(self, a, b):
         with pytest.raises(DomainError):
             Params(a, b)
@@ -111,12 +113,12 @@ class TestQuantile:
 
 class TestSample:
     def test_rejects_bad_n(self, p11):
-        for bad in (0, -1, 2.5):
+        for bad in (0, -1, 2.5, True, np.True_):
             with pytest.raises(DomainError):
                 sample(p11, bad, seed=1)
 
     def test_rejects_bad_seed(self, p11):
-        for bad in (-1, 2**128, 1.5, "7", None):
+        for bad in (-1, 2**128, 1.5, "7", None, False, True, np.False_):
             with pytest.raises(DomainError):
                 sample(p11, 10, seed=bad)
         assert sample(p11, 3, seed=np.int64(5)).shape == (3,)
@@ -156,7 +158,7 @@ class TestMoments:
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_order(self, p11):
-        for bad in (0, -1, 1.5, "1", [1]):
+        for bad in (0, -1, 1.5, "1", [1], True, np.True_):
             with pytest.raises(DomainError):
                 raw_moment(p11, bad)
 

@@ -1,14 +1,21 @@
-"""Incomplete-gamma layer: spot values, identities, and the oracle lattice."""
+"""Incomplete-gamma layer: spot values, identities, the oracle lattice and mpmath sweeps."""
 
 import math
+import random
 
 import pytest
 
 from unitgompertz import (
     DomainError,
+    Params,
+    cli,
+    distribution,
     exp_integral_e1,
     log_sq_tail_integral,
     oracle,
+    shannon_entropy,
+    song_measure,
+    specfun,
     upper_inc_gamma,
     upper_inc_gamma_scaled,
 )
@@ -96,8 +103,9 @@ def test_integer_shape_finite_sum(s, x):
 @pytest.mark.parametrize("s", [1e-9, 1e-5, 1e-3, -1e-9, -1e-5])
 @pytest.mark.parametrize("x", [0.05, 0.4, 0.9])
 def test_shapes_near_zero_keep_their_accuracy(s, x):
-    # Gamma(s) and the lower integral both blow up like 1/s here; the guard
-    # must reroute before the complement subtraction eats the contract.
+    # Gamma(s) and the lower integral both blow up like 1/s here; the
+    # small-x route never forms that difference, since each piece of its
+    # seed form, (Gamma(1+s) - 1)/s and (x^s - 1)/s, stays finite as s -> 0.
     tol = 1e-12 if s >= 0 else 1e-10
     want = _gamma_by_quadrature(s, x)
     assert upper_inc_gamma(s, x) == pytest.approx(want, rel=tol)
@@ -148,3 +156,98 @@ def test_log_sq_tail_lower_bound_and_monotonicity():
     # On (e, inf) the integrand dominates e^-t, so the integral beats e^-e.
     assert log_sq_tail_integral(math.e) >= math.exp(-math.e)
     assert log_sq_tail_integral(2.0) > log_sq_tail_integral(3.0)
+
+
+# ------------------------------------------------------- mpmath references
+
+
+def _small_x_sweep():
+    """(s, x) over s in [-50, 0.5), x in [1e-12, 1.5): seeded draws, plus
+    shapes within 1e-9 of 0, of +-1/2 and of negative integers."""
+    rng = random.Random(20260607)
+    points = [(rng.uniform(-50.0, 0.5), 10.0 ** rng.uniform(-12.0, math.log10(1.5)))
+              for _ in range(300)]
+    bases = [0.0, 0.5, -0.5, -1.5, -10.5, -1.0, -2.0, -3.0, -7.0, -20.0, -50.0]
+    offsets = [-1e-9, -1e-12, 0.0, 1e-12, 1e-9]
+    # Seeds across the series window for (Gamma(1+a) - 1)/a, |a| < 0.1.
+    window = [d * sign for d in (1e-4, 0.01, 0.05, 0.0999) for sign in (1, -1)]
+    shapes = [b + o for b in bases for o in offsets] + window + [w - 5.0 for w in window]
+    cuts = [1e-12, 1e-6, 1e-3, 0.1, 0.7, 0.999, 1.2, 1.4999]
+    points += [(s, x) for s in shapes if -50.0 <= s < 0.5 for x in cuts]
+    return points
+
+
+@pytest.fixture(scope="module")
+def small_x_reference():
+    """Sweep points with their 50-digit values, those above 1e300 dropped.
+
+    Near and past the double range the recurrence's x^a overflows and the
+    library raises OverflowError (the ledger's `overflow-error` entry), so
+    the accuracy contract is checked below it.
+    """
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(50):
+        for s, x in _small_x_sweep():
+            want = mp.gammainc(mp.mpf(s), mp.mpf(x))
+            if want < 1e300:
+                out.append((s, x, float(want)))
+    return out
+
+
+LOG_SQ_POINTS = [10.0 ** (-12 + 20 * k / 59) for k in range(60)] + [
+    1.0, 1.4999999, 1.5, 1.5000001, 2.0, 700.0]
+
+
+@pytest.fixture(scope="module")
+def log_sq_reference():
+    """e^a * integral of e^-t ln(t)^2 over (a, inf) at 20 digits, by t = a + u."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        return [
+            (a, float(mp.quad(lambda u: mp.exp(-u) * mp.log(a + u) ** 2, [0, 1, 10, 40, mp.inf])))
+            for a in LOG_SQ_POINTS
+        ]
+
+
+def test_small_x_route_meets_the_contract(small_x_reference):
+    assert len(small_x_reference) > 400
+    bad = []
+    for s, x, want in small_x_reference:
+        tol = 1e-12 if s >= 0 else 1e-10
+        err = abs(upper_inc_gamma(s, x) / want - 1)
+        if err > tol:
+            bad.append((s, x, err))
+    assert not bad, bad[:10]
+
+
+def test_log_sq_tail_matches_mpmath_across_the_seam(log_sq_reference):
+    for a, scaled in log_sq_reference:
+        assert abs(specfun._log_sq_tail_scaled(a) / scaled - 1) <= 1e-13, a
+        if a <= 700.0:
+            want = scaled * math.exp(-a)
+            assert abs(log_sq_tail_integral(a) / want - 1) <= 1e-13, a
+
+
+def test_closed_forms_never_reach_quadrature(monkeypatch, tmp_path, small_x_reference):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle.integrate called")
+
+    monkeypatch.setattr(oracle, "integrate", refuse)
+    distribution._head.cache_clear()
+    try:
+        for s, x, _ in small_x_reference:
+            upper_inc_gamma(s, x)
+        for a in LOG_SQ_POINTS:
+            log_sq_tail_integral(a)
+        for p in (Params(0.05, 0.3), Params(1.0, 1.0), Params(12.0, 2.0)):
+            shannon_entropy(p)
+            song_measure(p)
+        for fn in ("mrl", "eit", "lorenz", "zenga"):
+            for alpha, beta in (("0.5", "1.5"), ("1.5", "0.5")):
+                code = cli.main(["curve", "--fn", fn, "--alpha", alpha, "--beta", beta,
+                                 "--grid", "0.001:0.999:101", "--out", str(tmp_path / "c.csv")])
+                assert code == 0, (fn, alpha, beta)
+    finally:
+        distribution._head.cache_clear()
+    assert "oracle" not in vars(specfun)
