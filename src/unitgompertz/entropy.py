@@ -20,7 +20,7 @@ import math
 
 from .distribution import Params, _head
 from .errors import DomainError
-from .specfun import _log_sq_tail_scaled, upper_inc_gamma_scaled
+from .specfun import _log_sq_tail_scaled, _tail_ratio
 
 # Orders this close to 1 are rejected; use shannon_entropy instead.
 RENYI_ORDER_GAP = 1e-12
@@ -39,8 +39,10 @@ def renyi_entropy(p: Params, gamma: float) -> float:
     a, b = p.alpha, p.beta
     s = gamma + (gamma - 1.0) / b
     # ln Gamma(s; a*g) = ln(scaled) - a*g, and the -a*g cancels the alpha*g
-    # term of the closed form exactly.
-    log_gamma_term = math.log(upper_inc_gamma_scaled(s, a * gamma))
+    # term of the closed form exactly; ln(scaled) = s ln(a*g) + ln(ratio)
+    # stays finite where Gamma(s; a*g) itself leaves the double range.
+    x = a * gamma
+    log_gamma_term = s * math.log(x) + math.log(_tail_ratio(s, x))
     bracket = (
         (1.0 - gamma) / b * math.log(a)
         - (1.0 - gamma) * math.log(b)

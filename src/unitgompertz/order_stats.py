@@ -24,7 +24,7 @@ import warnings
 from . import oracle
 from .distribution import Params, _as_count, log_cdf, log_pdf, sf
 from .errors import CancellationWarning, DomainError
-from .specfun import upper_inc_gamma_scaled
+from .specfun import _tail_ratio
 
 # Decimal digits the alternating sum may lose before the quadrature route
 # takes over.
@@ -74,12 +74,8 @@ def order_stat_moment(p: Params, n: int, j: int, k: int) -> float:
     for r in range(n - j + 1):
         z = a * (j + r)
         # e^(r*alpha) * Gamma(s; z) = e^(-j*alpha) * scaled form, and the
-        # e^(j*alpha) prefactor cancels; only z^(k/beta - 1) remains.
-        magnitude = (
-            math.comb(n - j, r)
-            * z ** (k / b - 1.0)
-            * upper_inc_gamma_scaled(s, z)
-        )
+        # e^(j*alpha) prefactor cancels; only z^(k/beta - 1) = z^-s remains.
+        magnitude = math.comb(n - j, r) * _tail_ratio(s, z)
         terms.append(-magnitude if r % 2 else magnitude)
     total = math.fsum(terms)
     log_comb = math.lgamma(n + 1) - math.lgamma(j) - math.lgamma(n - j + 1)

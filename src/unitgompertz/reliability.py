@@ -1,6 +1,7 @@
 """Hazard/reversed-hazard rates, residual and inactivity times, stress-strength.
 
-Everything here reduces to the tail integral
+Everything here is read through w = -ln F(t) from `distribution._neg_log_cdf`,
+and reduces to the tail integral
 
     I_n(t) = integral of y^n f(y) over (t, 1) = E[X^n] - m_n(t),
 
@@ -8,6 +9,9 @@ where the incomplete moment m_n over (0, t) comes from the kernel
 `distribution._lower_moment`, which keeps the e^alpha factor from
 overflowing, and E[X^n] from `raw_moment`, whose per-law constant
 e^alpha * Gamma(1 - n/beta; alpha) is computed once in `distribution._head`.
+Near t = 1 that difference cancels, so `distribution._tail_moment` and
+`distribution._integrated_sf` (Psi(t), the integral of sf over (t, 1))
+switch to the endpoint branch there; mrl = Psi / sf, which near 1 is >= 0.
 The reversed hazard r(x) = alpha*beta / x^(1+beta) is strictly decreasing
 and the inactivity time is increasing for every parameter choice (the cdf
 is log-concave); the plain hazard rises to +inf at x = 1.
@@ -22,14 +26,15 @@ from . import oracle
 from .distribution import (
     Params,
     _as_count,
-    _lower_moment,
-    _pow_neg_beta,
+    _integrated_sf,
+    _neg_log_cdf,
+    _power_gamma,
+    _tail_moment,
     pdf,
-    raw_moment,
     sf,
 )
 from .errors import DomainError
-from .specfun import _exp_or_inf, upper_inc_gamma_scaled
+from .specfun import _exp_or_inf
 
 # Relative tolerance for the stress-strength quadrature when the two scale
 # parameters differ and no closed form exists.
@@ -75,8 +80,7 @@ def partial_expectation(p: Params, n: int, t: float) -> float:
     n = _as_count(n, 1, "moment order")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"partial expectation needs t in [0, 1], got {t!r}")
-    below = _lower_moment(p, n, p.alpha * _pow_neg_beta(t, p.beta)) if t > 0.0 else 0.0
-    return raw_moment(p, n) - below
+    return _tail_moment(p, n, _neg_log_cdf(p, t))
 
 
 def conditional_moment(p: Params, n: int, x: float) -> float:
@@ -90,28 +94,30 @@ def mrl(p: Params, t: float) -> float:
     """Mean residual life E[X - t | X > t] on [0, 1].
 
     mrl(0) is the mean; mrl(1) is defined as 0, the continuous limit as the
-    remaining support shrinks to nothing.
+    remaining support shrinks to nothing.  It is Psi / sf, with Psi the
+    integral of sf over (t, 1); near 1, Psi comes from the endpoint branch
+    and is positive term by term.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"mrl needs t in [0, 1], got {t!r}")
     if t == 1.0:
         return 0.0
-    return conditional_moment(p, 1, t) - t
+    w = _neg_log_cdf(p, t)
+    return _integrated_sf(p, t, w) / -math.expm1(-w)
 
 
 def eit(p: Params, x: float) -> float:
     """Expected inactivity time E[x - X | X <= x] for x in (0, 1].
 
     Closed form (alpha^(1/beta) / beta) * e^z * Gamma(-1/beta; z) with
-    z = alpha / x^beta, evaluated in scaled form; eit(1) equals 1 - mean.
+    z = alpha + w, evaluated in scaled form; eit(1) equals 1 - mean.
     """
     if not 0.0 < x <= 1.0:
         raise DomainError(f"eit needs x in (0, 1], got {x!r}")
-    z = p.alpha * _pow_neg_beta(x, p.beta)
-    if not math.isfinite(z):
+    w = _neg_log_cdf(p, x)
+    if not math.isfinite(w):
         return 0.0
-    scaled = upper_inc_gamma_scaled(-1.0 / p.beta, z)
-    return p.alpha ** (1.0 / p.beta) / p.beta * scaled
+    return _power_gamma(p, 1.0 / p.beta, -1.0 / p.beta, w) / p.beta
 
 
 def stress_strength(pair: StressStrengthPair) -> float:
@@ -125,14 +131,14 @@ def stress_strength(pair: StressStrengthPair) -> float:
     if px.beta == py.beta:
         return px.alpha / (px.alpha + py.alpha)
 
-    log_c = math.log(px.alpha * px.beta) + px.alpha + py.alpha
+    log_c = math.log(px.alpha * px.beta)
 
     def integrand(x: float) -> float:
         return math.exp(
             log_c
             - (1.0 + px.beta) * math.log(x)
-            - px.alpha * _pow_neg_beta(x, px.beta)
-            - py.alpha * _pow_neg_beta(x, py.beta)
+            - _neg_log_cdf(px, x)
+            - _neg_log_cdf(py, x)
         )
 
     return oracle.integrate(integrand, 0.0, 1.0, rel_tol=STRESS_STRENGTH_REL_TOL).value

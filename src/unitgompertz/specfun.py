@@ -9,7 +9,8 @@ exposed separately because those products otherwise over/underflow.
 
 Evaluation regimes, each a closed series or continued fraction:
 
-* x >= max(1, s + 1): Legendre continued fraction (modified Lentz).
+* x >= max(1, s + 1), or s < -10000: Legendre continued fraction (modified
+  Lentz), which at such s converges in a few terms for every x.
 * x < s + 1, s >= 1/2: power series for the lower incomplete gamma,
   complemented through the complete gamma function.
 * x < max(1, s + 1), s < 1/2: Gautschi's entire-function form at the seed
@@ -17,8 +18,14 @@ Evaluation regimes, each a closed series or continued fraction:
   Gamma(a, x) = (Gamma(1+a) - 1)/a - (x^a - 1)/a
                 - x^a * sum_{k>=1} (-x)^k / (k! (a + k)),
   which at a = 0 is the E1 series; then the downward recurrence
-  Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^(-x)) / (a-1) down to s.  From a
+  Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^(-x)) / (a-1) down to s, run on
+  r = e^x x^-a Gamma(a, x) as r <- (x r - 1) / (a - 1) so that x^s e^-x is
+  applied once, as two factors x^(s/2) where x^s alone may overflow.  From a
   seed at or below 1/2 no step cancels more than a few bits.
+
+The ratio r = x^-s e^x Gamma(s; x) (`_tail_ratio`), which the continued
+fraction and the recurrence yield directly, stays finite where Gamma(s; x)
+and x^s leave the double range together.
 
 The tail integral of e^(-t) (ln t)^2 over (a, inf) is gamma^2 + pi^2/6 minus
 the termwise-integrated power series of e^(-t) for small a, and the second
@@ -99,14 +106,20 @@ def _lower_series(s: float, x: float) -> float:
     raise OracleError(f"series for lower incomplete gamma({s}, {x}) did not converge")
 
 
-def _small_x(s: float, x: float) -> float:
-    """Gamma(s, x) for s < 1/2, x < max(1, s + 1): Gautschi's seed, then recurrence.
+def _by_continued_fraction(s: float, x: float) -> bool:
+    """Route to the Legendre continued fraction: x >= max(1, s + 1), or -s past
+    _MAX_ITER, where it converges in a few terms and the recurrence would not."""
+    return (x >= 1.0 and x >= s + 1.0) or s < -_MAX_ITER
 
-    The seed's first two pieces, (Gamma(1+a) - 1)/a - (x^a - 1)/a, are
-    regrouped into gamma(a) - x^a/a once |a| >= _RGAMMA_SEAM, where they
-    no longer cancel.
+
+def _seed(s: float, x: float) -> tuple[float, float]:
+    """(a, Gamma(a, x)) at Gautschi's seed a = s - floor(s + 1/2) in [-1/2, 1/2).
+
+    For x < max(1, s + 1).  The seed's first two pieces,
+    (Gamma(1+a) - 1)/a - (x^a - 1)/a, are regrouped into gamma(a) - x^a/a
+    once |a| >= _RGAMMA_SEAM, where they no longer cancel.
     """
-    a = s - math.floor(s + 0.5)  # in [-1/2, 1/2)
+    a = s - math.floor(s + 0.5)
     total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER):
@@ -118,22 +131,56 @@ def _small_x(s: float, x: float) -> float:
     else:
         raise OracleError(f"series for Gamma({a}, {x}) did not converge")
     if abs(a) >= _RGAMMA_SEAM:
-        g = math.gamma(a) - x**a * (1.0 / a + total)
-    elif a == 0.0:  # the E1 series; _RGAMMA_Q[0] is Euler's constant
-        g = -_RGAMMA_Q[0] - math.log(x) - total
-    else:
-        q = 0.0
-        for c in reversed(_RGAMMA_Q):
-            q = q * a + c
-        # 1/Gamma(1+a) = 1 + a*q, so (Gamma(1+a) - 1)/a = -q / (1 + a*q).
-        g = -q / (1.0 + a * q) - math.expm1(a * math.log(x)) / a - x**a * total
-    steps = round(a - s)
-    if steps:
-        e_x = math.exp(-x)
-        for _ in range(steps):
-            a -= 1.0
-            g = (g - x**a * e_x) / a
-    return g
+        return a, math.gamma(a) - x**a * (1.0 / a + total)
+    if a == 0.0:  # the E1 series; _RGAMMA_Q[0] is Euler's constant
+        return a, -_RGAMMA_Q[0] - math.log(x) - total
+    q = 0.0
+    for c in reversed(_RGAMMA_Q):
+        q = q * a + c
+    # 1/Gamma(1+a) = 1 + a*q, so (Gamma(1+a) - 1)/a = -q / (1 + a*q).
+    return a, -q / (1.0 + a * q) - math.expm1(a * math.log(x)) / a - x**a * total
+
+
+def _recur(s: float, x: float, a: float, g: float) -> float:
+    """r = e^x x^-s Gamma(s, x) from g = Gamma(a, x), a - s a whole number >= 0.
+
+    Recurs on r itself, r <- (x r - 1) / (a - 1), near 1/(x + 1 - a): no x^a per step.
+    """
+    r = math.exp(x) * x**-a * g
+    for _ in range(round(a - s)):
+        a -= 1.0
+        r = (x * r - 1.0) / a
+    return r
+
+
+def _small_x(s: float, x: float) -> float:
+    """Gamma(s, x) for s < 1/2, x < max(1, s + 1): Gautschi's seed, then recurrence.
+
+    Saturates to inf past the double range, as the continued fraction does,
+    and then without running the recurrence.
+    """
+    a, g = _seed(s, x)
+    if a == s:
+        return g
+    try:
+        half = x ** (0.5 * s)  # x^s itself may overflow where Gamma(s, x) does not
+    except OverflowError:  # x^s > 3e616 and e^-x r > 1/(e (2 - s)), so Gamma(s, x) too
+        return math.inf
+    return half * (half * math.exp(-x) * _recur(s, x, a, g))
+
+
+def _tail_ratio(s: float, x: float) -> float:
+    """x^-s e^x Gamma(s; x), near 1/(x + 1 - s) for s < 1/2.
+
+    Finite where x^s and Gamma(s; x) pass the double range together, so a
+    product alpha^m x^s that does not, or ln Gamma(s; x), can be formed
+    from it instead.
+    """
+    if _by_continued_fraction(s, x):
+        return _cf_factor(s, x)
+    if s >= 0.5:  # one exponential: x^-s alone may underflow where the ratio does not
+        return _exp_or_inf(x - s * math.log(x)) * upper_inc_gamma(s, x)
+    return _recur(s, x, *_seed(s, x))
 
 
 def upper_inc_gamma(s: float, x: float) -> float:
@@ -144,7 +191,7 @@ def upper_inc_gamma(s: float, x: float) -> float:
     smallest subnormal double.
     """
     _check_args(s, x)
-    if x >= 1.0 and x >= s + 1.0:
+    if _by_continued_fraction(s, x):
         return _exp_or_inf(s * math.log(x) - x) * _cf_factor(s, x)
     if s >= 0.5:
         return math.gamma(s) - _lower_series(s, x)
@@ -159,7 +206,7 @@ def upper_inc_gamma_scaled(s: float, x: float) -> float:
     product overflows once z passes ~700.
     """
     _check_args(s, x)
-    if x >= 1.0 and x >= s + 1.0:
+    if _by_continued_fraction(s, x):
         return _exp_or_inf(s * math.log(x)) * _cf_factor(s, x)
     # x < 1 here, so the e^x factor is harmless.
     return math.exp(x) * upper_inc_gamma(s, x)

@@ -99,13 +99,13 @@ def test_criterion_4_hazard_limits():
                     a * a * b * b - 6 * a * b * b - 6 * a * b + b * b + 6 * b + 5
                 ) / 12.0
                 want = 1.0 / eps + c0 + c1 * eps
-                # 1e-9 relative: the O(eps^2) remainder is ~1e-17 relative;
-                # rounding from the x^-beta - 1 cancellation in log_cdf/sf
-                # is 2.3e-11 today (ROADMAP item 3); and 1e-9 relative is
-                # 1e-3 absolute, well below |c0| >= 0.5 wherever c0 != 0,
-                # so a wrong constant term fails.
+                # 1e-14 relative: the O(eps^2) remainder is ~1e-17 relative,
+                # sf comes from w = alpha * expm1(-beta ln x) with no
+                # cancellation, so rounding stays near 1e-16; and 1e-14
+                # relative is 1e-8 absolute, far below |c0| >= 0.5 wherever
+                # c0 != 0, so a wrong constant term fails.
                 upper = ug.hazard(p, x_top)
-                assert abs(upper - want) <= 1e-9 * want, (a, b, upper, want)
+                assert abs(upper - want) <= 1e-14 * want, (a, b, upper, want)
                 grid = np.linspace(0.95, 0.999, 100)
                 vals = [ug.hazard(p, float(x)) for x in grid]
                 assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:])), (a, b)

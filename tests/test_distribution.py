@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import unitgompertz
 from conftest import assert_close, moment_by_quadrature, quad, wide_lattice
 from unitgompertz import (
     DomainError,
@@ -219,3 +220,35 @@ class TestAgainstOracle:
             for x in np.linspace(0.05, 0.95, 19):
                 lo, hi = Params(0.5, beta), Params(2.0, beta)
                 assert cdf(lo, float(x)) >= cdf(hi, float(x))
+
+
+# A power of alpha (alpha^(n/beta), or z^(k/beta - 1) with z a multiple of
+# alpha) leaves the double range while the incomplete gamma it multiplies
+# leaves it the other way; every value is finite.  References: 50-digit
+# mpmath (perfbench/reference.py).  Both order-statistic sums cancel, and
+# return the quadrature value with a CancellationWarning.
+POWER_PAST_RANGE = [
+    ("raw_moment", (0.01, 0.01, 2), 5.0248718467993586e-05, 1e-12),  # alpha^200 = 0
+    ("raw_moment", (0.01, 1 / 159, 1), 6.328710821615105e-05, 1e-12),  # subnormal
+    ("raw_moment", (100.0, 1e-3, 1), 0.09098427207620166, 1e-12),  # alpha^1000 = inf
+    ("raw_moment", (0.5, 1e-12, 1), 5.0000000000025e-13, 1e-12),  # 1e12 would-be steps
+    ("conditional_moment", (0.01, 0.01, 2, 0.5), 0.5405949722764114, 1e-12),
+    ("conditional_moment", (100.0, 0.01, 4, 0.5), 0.3871501892922761, 1e-12),
+    ("eit", (0.01, 0.002, 0.5), 0.4999899662613222, 1e-12),
+    ("mrl", (0.01, 0.005, 0.5), 0.2212056987292262, 1e-12),
+    ("lorenz", (0.01, 0.005, 0.9), 4.0237495497802343e-212, 1e-12),
+    ("zenga", (100.0, 1e-3, 0.5), 0.937142203407101, 1e-12),
+    ("zenga", (10.0, 2e-3, 0.999), 0.9803641818821301, 1e-12),
+    ("order_stat_moment", (0.01, 0.01, 3, 1, 2), 7.727407557319471e-13, 1e-10),
+    ("order_stat_moment", (100.0, 0.01, 40, 1, 1), 0.025812299061187732, 1e-10),
+    ("renyi_entropy", (0.01, 0.01, 0.05), -0.430213254562445, 1e-12),  # Gamma(-94.95; 5e-4)
+    ("renyi_entropy", (1.1501274283959058, 2.4440619361037017, 119.0074790577029),
+     -1.0474902232377092, 1e-12),
+]
+
+
+@pytest.mark.parametrize("fn, args, want, tol", POWER_PAST_RANGE)
+@pytest.mark.filterwarnings("ignore::unitgompertz.CancellationWarning")
+def test_closed_forms_where_a_power_leaves_the_double_range(fn, args, want, tol):
+    got = getattr(unitgompertz, fn)(Params(*args[:2]), *args[2:])
+    assert abs(got / want - 1) <= tol, got

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -179,20 +180,10 @@ def _small_x_sweep():
 
 @pytest.fixture(scope="module")
 def small_x_reference():
-    """Sweep points with their 50-digit values, those above 1e300 dropped.
-
-    Near and past the double range the recurrence's x^a overflows and the
-    library raises OverflowError (the ledger's `overflow-error` entry), so
-    the accuracy contract is checked below it.
-    """
+    """Sweep points with their 50-digit values; inf past the double range."""
     mp = pytest.importorskip("mpmath")
-    out = []
     with mp.workdps(50):
-        for s, x in _small_x_sweep():
-            want = mp.gammainc(mp.mpf(s), mp.mpf(x))
-            if want < 1e300:
-                out.append((s, x, float(want)))
-    return out
+        return [(s, x, float(mp.gammainc(mp.mpf(s), mp.mpf(x)))) for s, x in _small_x_sweep()]
 
 
 LOG_SQ_POINTS = [10.0 ** (-12 + 20 * k / 59) for k in range(60)] + [
@@ -212,13 +203,47 @@ def log_sq_reference():
 
 def test_small_x_route_meets_the_contract(small_x_reference):
     assert len(small_x_reference) > 400
+    assert sum(math.isinf(want) for _, _, want in small_x_reference) >= 40
     bad = []
     for s, x, want in small_x_reference:
+        got = upper_inc_gamma(s, x)
+        if math.isinf(want):
+            if got != math.inf:
+                bad.append((s, x, got))
+            continue
         tol = 1e-12 if s >= 0 else 1e-10
-        err = abs(upper_inc_gamma(s, x) / want - 1)
+        err = abs(got / want - 1)
         if err > tol:
             bad.append((s, x, err))
     assert not bad, bad[:10]
+
+
+def test_small_x_recurrence_reaches_the_top_of_the_double_range():
+    # x^s overflows on the way, Gamma(s, x) does not (50-digit mpmath value).
+    got = upper_inc_gamma(-33.351917750088, 5.197275829411139e-10)
+    assert got == pytest.approx(1.3291139160935422534e308, rel=1e-14)
+
+
+def test_huge_negative_shape_returns_at_once():
+    # x^s overflows at the start, so no recurrence step (there would be 1e15) runs.
+    start = time.perf_counter()
+    assert upper_inc_gamma(-1e15, 0.5) == math.inf
+    assert upper_inc_gamma_scaled(-1e15, 0.5) == math.inf
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("s, x", [
+    (-9999.7, 0.95),  # last recurrence shape
+    (-10000.3, 0.95),  # first continued-fraction shape below 1
+    (-2e4, 0.99),
+    (-1e6, 1.0 - 1e-5),
+    (-1e15, math.nextafter(1.0, 0.0)),  # 1e15 recurrence steps
+])
+def test_huge_negative_shapes_meet_the_contract(s, x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want = float(mp.gammainc(mp.mpf(s), mp.mpf(x)))
+    assert abs(upper_inc_gamma(s, x) / want - 1) <= 1e-10
 
 
 def test_log_sq_tail_matches_mpmath_across_the_seam(log_sq_reference):
