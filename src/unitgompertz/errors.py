@@ -10,4 +10,7 @@ class OracleError(ArithmeticError):
 
 
 class CancellationWarning(RuntimeWarning):
-    """An alternating sum lost enough digits that a slower route was used."""
+    """An alternating sum lost enough digits that a slower route was used.
+
+    Nothing emits it since order-statistic moments became a positive integral.
+    """

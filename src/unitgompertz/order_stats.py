@@ -5,31 +5,24 @@ The j-th order statistic of n draws has density
     f_(j)(x) = n! / ((j-1)! (n-j)!) * f(x) F(x)^(j-1) (1 - F(x))^(n-j)
 
 assembled here in log space so neither the factorials nor the cdf powers
-overflow or underflow.  Expanding (1 - F)^(n-j) binomially turns the k-th
-moment into an alternating sum of incomplete-gamma terms; the e^(r*alpha)
-factors cancel against the scaled gammas exactly, so each term is
-individually well-ranged, but the alternation can still cancel.  When more
-than CANCEL_DIGITS decimal digits are lost the moment is recomputed by
-adaptive quadrature of the density and a CancellationWarning is emitted.
+overflow or underflow.
 
-Every moment is finite for every k: each term's incomplete gamma has the
-strictly positive lower limit alpha*(j+r).
+Moments are read through V = -ln F(X_(j)), where F(X_(j)) ~ Beta(j, n - j + 1)
+and X = (alpha / (alpha + V))^(1/beta):
+
+    E[X_(j)^k] = n! / ((j-1)! (n-j)!) * integral over v > 0 of
+                 (alpha/(alpha+v))^(k/beta) e^(-jv) (1 - e^(-v))^(n-j) dv,
+
+a positive integrand with no special function and nothing to cancel, taken
+by `distribution._v_integral`.  Every moment is finite for every k.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
-from . import oracle
-from .distribution import Params, _as_count, log_cdf, log_pdf, sf
-from .errors import CancellationWarning, DomainError
-from .specfun import _tail_ratio
-
-# Decimal digits the alternating sum may lose before the quadrature route
-# takes over.
-CANCEL_DIGITS = 8.0
-_FALLBACK_REL_TOL = 1e-10
+from .distribution import Params, _as_count, _v_integral, log_cdf, log_pdf, sf
+from .errors import DomainError
 
 
 def _check_rank(n, j) -> tuple[int, int]:
@@ -59,41 +52,19 @@ def order_stat_pdf(p: Params, n: int, j: int, x: float) -> float:
 
 
 def order_stat_moment(p: Params, n: int, j: int, k: int) -> float:
-    """k-th moment of the j-th of n order statistics.
-
-    Alternating binomial sum over incomplete-gamma terms, accumulated
-    exactly with math.fsum; falls back to quadrature (with a
-    CancellationWarning) if the sum cancels away more than CANCEL_DIGITS
-    digits.
-    """
+    """k-th moment of the j-th of n order statistics, by the integral over v above."""
     n, j = _check_rank(n, j)
     k = _as_count(k, 1, "moment order")
-    a, b = p.alpha, p.beta
-    s = 1.0 - k / b
-    terms = []
-    for r in range(n - j + 1):
-        z = a * (j + r)
-        # e^(r*alpha) * Gamma(s; z) = e^(-j*alpha) * scaled form, and the
-        # e^(j*alpha) prefactor cancels; only z^(k/beta - 1) = z^-s remains.
-        magnitude = math.comb(n - j, r) * _tail_ratio(s, z)
-        terms.append(-magnitude if r % 2 else magnitude)
-    total = math.fsum(terms)
-    log_comb = math.lgamma(n + 1) - math.lgamma(j) - math.lgamma(n - j + 1)
-    largest = max(abs(t) for t in terms)
-    if total <= 0.0 or math.log10(largest / total) > CANCEL_DIGITS:
-        warnings.warn(
-            f"alternating sum for order-statistic moment (n={n}, j={j}, k={k}) "
-            "lost too many digits; returning the quadrature value",
-            CancellationWarning,
-            stacklevel=2,
-        )
-        return oracle.integrate(
-            lambda y: y**k * order_stat_pdf(p, n, j, y),
-            0.0,
-            1.0,
-            rel_tol=_FALLBACK_REL_TOL,
-        ).value
-    return a * math.exp(log_comb) * total
+    m = k / p.beta
+    log_comb = math.log(j * math.comb(n, j))  # exact; lgamma differences lose n*eps
+
+    def log_h(v: float) -> float:
+        total = log_comb - m * math.log1p(v / p.alpha) - j * v
+        if j < n:
+            total += (n - j) * math.log(-math.expm1(-v))
+        return total
+
+    return _v_integral(log_h)
 
 
 def order_stat_mixture_pdf(p: Params, n: int, x: float) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oracle
 from .distribution import (
     Params,
     _as_count,
@@ -30,15 +29,12 @@ from .distribution import (
     _neg_log_cdf,
     _power_gamma,
     _tail_moment,
+    _v_integral,
     pdf,
     sf,
 )
 from .errors import DomainError
 from .specfun import _exp_or_inf
-
-# Relative tolerance for the stress-strength quadrature when the two scale
-# parameters differ and no closed form exists.
-STRESS_STRENGTH_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,22 +119,20 @@ def eit(p: Params, x: float) -> float:
 def stress_strength(pair: StressStrengthPair) -> float:
     """R = P(stress < strength) for independent unit-Gompertz X and Y.
 
-    With a common scale the answer is exactly alpha_X / (alpha_X + alpha_Y);
-    otherwise the defining integral is evaluated adaptively with the
-    integrand assembled in log space (it decays double-exponentially at 0).
+    With a common scale the answer is exactly alpha_X / (alpha_X + alpha_Y).
+    Otherwise R = E[F_Y(X)] is the integral over v = -ln F_X(x) > 0 of
+    e^(-v - w_Y), with w_Y = -ln F_Y(x) = alpha_Y * expm1(r * log1p(v/alpha_X))
+    and r = beta_Y/beta_X.
     """
     px, py = pair.strength, pair.stress
     if px.beta == py.beta:
         return px.alpha / (px.alpha + py.alpha)
+    r = py.beta / px.beta
 
-    log_c = math.log(px.alpha * px.beta)
+    def log_h(v: float) -> float:
+        try:
+            return -v - py.alpha * math.expm1(r * math.log1p(v / px.alpha))
+        except OverflowError:
+            return -math.inf
 
-    def integrand(x: float) -> float:
-        return math.exp(
-            log_c
-            - (1.0 + px.beta) * math.log(x)
-            - _neg_log_cdf(px, x)
-            - _neg_log_cdf(py, x)
-        )
-
-    return oracle.integrate(integrand, 0.0, 1.0, rel_tol=STRESS_STRENGTH_REL_TOL).value
+    return _v_integral(log_h)

@@ -1,13 +1,15 @@
 """Order-statistic densities and moments against quadrature and identities."""
 
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_close, quad
 from unitgompertz import (
-    CancellationWarning,
     DomainError,
     Params,
     cdf,
@@ -17,6 +19,8 @@ from unitgompertz import (
     pdf,
     raw_moment,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 class TestDensity:
@@ -95,12 +99,58 @@ class TestMoment:
             v = order_stat_moment(p, 3, 2, k)
             assert math.isfinite(v) and v > 0.0
 
-    def test_cancellation_falls_back_to_quadrature(self):
+    def test_former_cancellation_case_needs_no_fallback(self):
+        # The alternating sum used to lose more than 8 digits here and fall
+        # back, with a CancellationWarning, to an x-space quadrature.
         p = Params(0.05, 1.0)
-        with pytest.warns(CancellationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = order_stat_moment(p, 40, 1, 1)
-        want = quad(lambda x: x * order_stat_pdf(p, 40, 1, x), 0.0, 1.0, tol=1e-9)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert_close(got, 0.012488460059900813, 1e-12, "E[X_(1)], n=40")
+
+
+# E[X_(j)^k] at (alpha, beta, n, j, k) against 40-digit mpmath.
+PINNED_MOMENTS = [
+    ((1.0, 1.0, 20, 10, 1), 0.575231032316316),  # the alternating sum gave 0.5752310421249663
+    ((1.0, 1.0, 20, 1, 1), 0.23263142529771905),  # the alternating sum gave 0.2326314250215439
+    ((100.0, 100.0, 40, 20, 3), 0.9997816205153681),  # the x-space fallback gave 0.0
+    # Mass near v = 2.5e-7, far below the folded rule's first nodes unless rescaled.
+    ((1e-4, 0.01, 1, 1, 4), 2.5062650344455686e-07),  # the alternating sum gave the same
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_MOMENTS)
+def test_pinned_moments(args, want):
+    assert_close(order_stat_moment(Params(*args[:2]), *args[2:]), want, 1e-12, str(args))
+
+
+def test_moment_lattice_against_mpmath():
+    reference = pytest.importorskip("reference")  # perfbench/reference.py; needs mpmath
+    bad = []
+    for a in (0.01, 1.0, 100.0):
+        for b in (0.01, 1.0, 100.0):
+            for n, j, k in ((1, 1, 1), (20, 10, 1), (40, 1, 1), (40, 20, 3)):
+                want = reference.value("order_stat_moment", (a, b, n, j, k))
+                err = abs(order_stat_moment(Params(a, b), n, j, k) / want - 1)
+                if err > 1e-12:
+                    bad.append((a, b, n, j, k, err))
+    assert not bad, bad
+
+
+def test_mass_below_the_double_range_gives_zero():
+    # X = (alpha/(alpha + W))^(1/beta) is below 1e-300 unless W < 1e-600.
+    # The alternating sum's fallback raised ValueError here.
+    assert order_stat_moment(Params(1e-300, 1e-300), 40, 20, 3) == 0.0
+
+
+def test_maximum_is_the_law_with_n_times_alpha():
+    # F^n is the cdf of UG(n alpha, beta), so X_(n) has its raw moments.  At
+    # alpha = 1e-300 the mass of the v-integrand spreads over 690 e-folds of v.
+    for p in (Params(0.01, 0.01), Params(1.0, 1.0), Params(0.5, 3.0), Params(1e-300, 1.0)):
+        for n in (2, 40, 10**7):
+            for k in (1, 3):
+                want = raw_moment(Params(n * p.alpha, p.beta), k)
+                assert_close(order_stat_moment(p, n, n, k), want, 1e-12, str((p, n, k)))
 
 
 class TestMixtureIdentity:

@@ -1,8 +1,10 @@
-"""Properties of the incomplete-moment closed forms over a wide parameter box.
+"""Properties of sf, the hazard and the incomplete moments over a wide parameter box.
 
 alpha and beta are drawn from [0.05, 20]; the draws are derandomized, so a
 run is reproducible.
 """
+
+import math
 
 import pytest
 
@@ -11,10 +13,12 @@ from unitgompertz import (
     cdf,
     conditional_moment,
     first_incomplete_moment,
+    hazard,
     lorenz,
     mrl,
     partial_expectation,
     raw_moment,
+    sf,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,3 +64,21 @@ def test_tail_moment_vanishes_at_the_upper_end(p, n):
 @hypothesis.given(PARAMS, ORDER)
 def test_vacuous_condition_gives_the_raw_moment(p, n):
     assert conditional_moment(p, n, 0.0) == raw_moment(p, n)
+
+
+@SETTINGS
+@hypothesis.given(PARAMS, st.floats(0.0, 1.0))
+@hypothesis.example(Params(1.0, 1e-3), math.nextafter(1.0, 0.0))  # sf used to round to 0
+def test_survival_function_is_a_probability(p, x):
+    assert 0.0 <= sf(p, x) <= 1.0
+
+
+# The x window: 1 - 10^-k for k = 1..15, from 0.9 to 1 - 1e-15.
+TOP_LADDER = [1.0 - 10.0**-k for k in range(1, 16)]
+
+
+@SETTINGS
+@hypothesis.given(PARAMS)
+def test_hazard_rises_along_the_ladder_to_one(p):
+    rates = [hazard(p, x) for x in TOP_LADDER]
+    assert all(a <= b for a, b in zip(rates, rates[1:])), rates

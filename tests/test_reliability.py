@@ -223,3 +223,38 @@ class TestStressStrength:
             lambda x: cdf(stress, x) * pdf(strength, x), 0.0, 1.0, tol=1e-11
         )
         assert got == pytest.approx(want, rel=1e-9)
+
+
+# R at (alpha_X, beta_X, alpha_Y, beta_Y) against a 40-digit mpmath quadrature
+# over v = -ln F_X.
+PINNED_STRESS_STRENGTH = [
+    ((0.01, 0.01, 0.01, 0.015), 0.16318491177151317),  # the x-space integral gave 0.1631849115741823
+    # Mass below v = 1e-3, where the unscaled rule's first nodes see only 0.
+    ((0.01, 0.01, 0.01, 1.5), 0.0002759075076562443),  # the x-space integral gave 0.0002759075076562437
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_STRESS_STRENGTH)
+def test_stress_strength_pinned(args, want):
+    pair = StressStrengthPair(Params(*args[:2]), Params(*args[2:]))
+    assert_close(stress_strength(pair), want, 1e-12, str(args))
+
+
+def test_stress_strength_is_a_probability_at_extreme_parameters():
+    # 625 pairs; this used to raise OverflowError on 49 and exceed 1 on 4.
+    grid = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+    bad = []
+    for ax in grid:
+        for bx in grid:
+            for ay in grid:
+                for by in (2e-6, 2e-3, 2.0, 2e3, 2e6):
+                    r = stress_strength(StressStrengthPair(Params(ax, bx), Params(ay, by)))
+                    if not 0.0 <= r <= 1.0:
+                        bad.append((ax, bx, ay, by, r))
+    assert not bad, bad
+
+
+def test_stress_strength_mass_below_the_double_range_gives_zero():
+    # The strength is below 1e-300 unless W_X < 1e-600; this raised ValueError.
+    pair = StressStrengthPair(Params(1e-300, 1e-300), Params(1e-300, 1e-6))
+    assert stress_strength(pair) == 0.0
