@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class OracleError(ArithmeticError):
-    """The quadrature oracle failed to reach the requested accuracy."""
+    """A quadrature, the oracle's or the library's own, failed to converge."""
 
 
 class CancellationWarning(RuntimeWarning):

@@ -20,6 +20,7 @@ by `distribution._v_integral`.  Every moment is finite for every k.
 from __future__ import annotations
 
 import math
+import sys
 
 from .distribution import Params, _as_count, _v_integral, log_cdf, log_pdf, sf
 from .errors import DomainError
@@ -57,14 +58,22 @@ def order_stat_moment(p: Params, n: int, j: int, k: int) -> float:
     k = _as_count(k, 1, "moment order")
     m = k / p.beta
     log_comb = math.log(j * math.comb(n, j))  # exact; lgamma differences lose n*eps
+    log_alpha = math.log(p.alpha)
 
-    def log_h(v: float) -> float:
-        total = log_comb - m * math.log1p(v / p.alpha) - j * v
-        if j < n:
-            total += (n - j) * math.log(-math.expm1(-v))
+    def log_g(u: float) -> float:
+        v = math.exp(u)
+        x = v / p.alpha  # u - ln alpha would carry the rounding of ln alpha, times m
+        if v < sys.float_info.min or not sys.float_info.min <= x < math.inf:
+            d = u - log_alpha  # log1p(v/alpha) = log1p(e^d), which is d past d = 36
+            lp = d if d >= 36.0 else math.log1p(math.exp(d))
+        else:
+            lp = math.log1p(x)
+        total = log_comb + u - m * lp - j * v
+        if j < n:  # ln(1 - e^-v) = u + ln((1 - e^-v)/v), which stays exact as v underflows
+            total += (n - j) * (u + (math.log(-math.expm1(-v) / v) if v else 0.0))
         return total
 
-    return _v_integral(log_h)
+    return _v_integral(log_g)
 
 
 def order_stat_mixture_pdf(p: Params, n: int, x: float) -> float:

@@ -122,17 +122,27 @@ def stress_strength(pair: StressStrengthPair) -> float:
     With a common scale the answer is exactly alpha_X / (alpha_X + alpha_Y).
     Otherwise R = E[F_Y(X)] is the integral over v = -ln F_X(x) > 0 of
     e^(-v - w_Y), with w_Y = -ln F_Y(x) = alpha_Y * expm1(r * log1p(v/alpha_X))
-    and r = beta_Y/beta_X.
+    and r = beta_Y/beta_X.  If X has the larger median, R = 1 - P(X < Y)
+    instead: each integral is then at most 3/4, so R is in [0, 1] as rounded.
     """
     px, py = pair.strength, pair.stress
     if px.beta == py.beta:
         return px.alpha / (px.alpha + py.alpha)
-    r = py.beta / px.beta
+    # ln(-ln median) = ln log1p(ln 2 / alpha) - ln beta
+    lx, ly = (math.log(math.log1p(math.log(2.0) / p.alpha)) - math.log(p.beta) for p in (px, py))
+    if lx < ly:
+        px, py = py, px
+    log_r = math.log(py.beta) - math.log(px.beta)
+    log_ax = math.log(px.alpha)
 
-    def log_h(v: float) -> float:
+    def log_g(u: float) -> float:
+        # r * log1p(v/alpha_X) as e^(ln r + ln log1p(e^d)): no 0 * inf, no false 0
+        d = u - log_ax
+        log_lp = d if d < -37.0 else math.log(math.log1p(math.exp(d)) if d < 36.0 else d)
         try:
-            return -v - py.alpha * math.expm1(r * math.log1p(v / px.alpha))
+            return u - math.exp(u) - py.alpha * math.expm1(math.exp(log_r + log_lp))
         except OverflowError:
             return -math.inf
 
-    return _v_integral(log_h)
+    below = _v_integral(log_g)
+    return 1.0 - below if lx < ly else below

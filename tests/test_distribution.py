@@ -225,8 +225,8 @@ class TestAgainstOracle:
 # A power of alpha (alpha^(n/beta), or z^(k/beta - 1) with z a multiple of
 # alpha) leaves the double range while the incomplete gamma it multiplies
 # leaves it the other way; every value is finite.  References: 50-digit
-# mpmath (perfbench/reference.py).  Both order-statistic sums cancel, and
-# return the quadrature value with a CancellationWarning.
+# mpmath (perfbench/reference.py).  The order-statistic moments are positive
+# integrals over v = -ln F, where alpha^(k/beta) never appears.
 POWER_PAST_RANGE = [
     ("raw_moment", (0.01, 0.01, 2), 5.0248718467993586e-05, 1e-12),  # alpha^200 = 0
     ("raw_moment", (0.01, 1 / 159, 1), 6.328710821615105e-05, 1e-12),  # subnormal

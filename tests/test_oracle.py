@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import _ug_sampler
-from unitgompertz import DomainError, OracleError, Params, oracle, pdf
+from test_order_stats import PINNED_MOMENTS
+from test_reliability import PINNED_STRESS_STRENGTH
+from unitgompertz import (
+    DomainError,
+    OracleError,
+    Params,
+    StressStrengthPair,
+    cli,
+    oracle,
+    order_stat_moment,
+    pdf,
+    stress_strength,
+)
 
 
 def test_constant_integrand():
@@ -50,6 +62,18 @@ def test_subdivision_cap_is_an_error(monkeypatch):
         oracle.integrate(lambda x: abs(x - 1 / math.pi) ** -0.5, 0.0, 1.0, rel_tol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: 1.0 / (1.0 + t),  # bisection toward the fold's u = 1 used to divide by zero
+        lambda t: 1e-300 / (1e-300 + t),  # an absolute floor once let this "converge" to 7e-298
+    ],
+)
+def test_divergent_tail_is_an_error(f):
+    with pytest.raises(OracleError):
+        oracle.integrate(f, 0.0, math.inf)
+
+
 def test_bad_bounds_and_tolerance():
     with pytest.raises(DomainError):
         oracle.integrate(lambda x: x, 1.0, 0.0)
@@ -82,3 +106,25 @@ def test_mc_deterministic_for_fixed_seed():
 def test_mc_minimum_sample_size():
     with pytest.raises(DomainError):
         oracle.mc_expect(_ug_sampler(Params(1.0, 1.0)), lambda x: x, 99, seed=1)
+
+
+def test_library_computes_without_the_oracle(monkeypatch, capsys):
+    # The oracle checks the library; no library value may come from it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the library called oracle.integrate")
+
+    monkeypatch.setattr(oracle, "integrate", refuse)
+    for args, want in PINNED_MOMENTS:
+        got = order_stat_moment(Params(*args[:2]), *args[2:])
+        assert abs(got / want - 1) <= 1e-12, args
+        a, b, n, j, k = (str(v) for v in args)
+        assert cli.main(["eval", "--fn", "osmoment", "--alpha", a, "--beta", b,
+                         "--n", n, "--j", j, "--k", k]) == 0
+        assert abs(float(capsys.readouterr().out) / want - 1) <= 1e-12, args
+    for args, want in PINNED_STRESS_STRENGTH:
+        got = stress_strength(StressStrengthPair(Params(*args[:2]), Params(*args[2:])))
+        assert abs(got / want - 1) <= 1e-12, args
+        flags = ("--alpha1", "--beta1", "--alpha2", "--beta2")
+        argv = [x for pair in zip(flags, map(str, args)) for x in pair]
+        assert cli.main(["eval", "--fn", "ssr", *argv]) == 0
+        assert abs(float(capsys.readouterr().out) / want - 1) <= 1e-12, args

@@ -1,9 +1,7 @@
 """Order-statistic densities and moments against quadrature and identities."""
 
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +17,6 @@ from unitgompertz import (
     pdf,
     raw_moment,
 )
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 class TestDensity:
@@ -124,16 +120,54 @@ def test_pinned_moments(args, want):
     assert_close(order_stat_moment(Params(*args[:2]), *args[2:]), want, 1e-12, str(args))
 
 
+# E[X_(j)^k] at (alpha, beta, n, j, k) on a lattice, against 40-digit mpmath
+# (perfbench/reference.py, computed once).
+LATTICE_MOMENTS = [
+    ((0.01, 0.01, 1, 1, 1), 0.00010099979491941915),
+    ((0.01, 0.01, 20, 10, 1), 1.307754967348895e-31),
+    ((0.01, 0.01, 40, 1, 1), 1.05564244651329e-108),
+    ((0.01, 0.01, 40, 20, 3), 1.379947261588143e-63),
+    ((0.01, 1.0, 1, 1, 1), 0.04078511443456426),
+    ((0.01, 1.0, 20, 10, 1), 0.014141184272328156),
+    ((0.01, 1.0, 40, 1, 1), 0.002524862646398038),
+    ((0.01, 1.0, 40, 20, 3), 3.33845356941455e-06),
+    ((0.01, 100.0, 1, 1, 1), 0.9601025372584633),
+    ((0.01, 100.0, 20, 10, 1), 0.9578368561418301),
+    ((0.01, 100.0, 40, 1, 1), 0.9415746906321661),
+    ((0.01, 100.0, 40, 20, 3), 0.8794992352166668),
+    ((1.0, 0.01, 1, 1, 1), 0.00999899020908473),
+    ((1.0, 0.01, 20, 10, 1), 2.4086241210428944e-10),
+    ((1.0, 0.01, 40, 1, 1), 2.4897740143206258e-33),
+    ((1.0, 0.01, 40, 20, 3), 1.66042858920263e-22),
+    ((1.0, 1.0, 1, 1, 1), 0.5963473623231941),
+    ((1.0, 1.0, 20, 10, 1), 0.575231032316316),
+    ((1.0, 1.0, 40, 1, 1), 0.19953831159800176),
+    ((1.0, 1.0, 40, 20, 3), 0.20306103690950844),
+    ((1.0, 100.0, 1, 1, 1), 0.9940630264350633),
+    ((1.0, 100.0, 20, 10, 1), 0.9944011983808245),
+    ((1.0, 100.0, 40, 1, 1), 0.9837661089331713),
+    ((1.0, 100.0, 40, 20, 3), 0.983809847006683),
+    ((100.0, 0.01, 1, 1, 1), 0.5012468674391032),
+    ((100.0, 0.01, 20, 10, 1), 0.47752332738381054),
+    ((100.0, 0.01, 40, 1, 1), 0.025812299061187732),
+    ((100.0, 0.01, 40, 20, 3), 0.12564017959145388),
+    ((100.0, 1.0, 1, 1, 1), 0.9901942286733019),
+    ((100.0, 1.0, 20, 10, 1), 0.9923764391916616),
+    ((100.0, 1.0, 40, 1, 1), 0.9591110206531964),
+    ((100.0, 1.0, 40, 20, 3), 0.9784078412670849),
+    ((100.0, 100.0, 1, 1, 1), 0.9999009902867152),
+    ((100.0, 100.0, 20, 10, 1), 0.9999234478073168),
+    ((100.0, 100.0, 40, 1, 1), 0.9995818787081697),
+    ((100.0, 100.0, 40, 20, 3), 0.9997816205153681),
+]
+
+
 def test_moment_lattice_against_mpmath():
-    reference = pytest.importorskip("reference")  # perfbench/reference.py; needs mpmath
     bad = []
-    for a in (0.01, 1.0, 100.0):
-        for b in (0.01, 1.0, 100.0):
-            for n, j, k in ((1, 1, 1), (20, 10, 1), (40, 1, 1), (40, 20, 3)):
-                want = reference.value("order_stat_moment", (a, b, n, j, k))
-                err = abs(order_stat_moment(Params(a, b), n, j, k) / want - 1)
-                if err > 1e-12:
-                    bad.append((a, b, n, j, k, err))
+    for args, want in LATTICE_MOMENTS:
+        err = abs(order_stat_moment(Params(*args[:2]), *args[2:]) / want - 1)
+        if err > 1e-12:
+            bad.append((args, err))
     assert not bad, bad
 
 

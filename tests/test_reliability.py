@@ -254,6 +254,22 @@ def test_stress_strength_is_a_probability_at_extreme_parameters():
     assert not bad, bad
 
 
+def test_stress_strength_is_a_probability_across_the_double_range():
+    # Here beta_Y/beta_X underflows to 0 or overflows to inf, and v/alpha_X
+    # passes the double range; the 0 * inf of r * log1p(v/alpha_X) read NaN.
+    grid = (1e-300, 1e-6, 1.0, 1e6, 1e300)
+    bad = []
+    for ax in grid:
+        for bx in grid:
+            for ay in grid:
+                for by in grid:
+                    if bx != by:
+                        r = stress_strength(StressStrengthPair(Params(ax, bx), Params(ay, by)))
+                        if not 0.0 <= r <= 1.0:
+                            bad.append((ax, bx, ay, by, r))
+    assert not bad, bad
+
+
 def test_stress_strength_mass_below_the_double_range_gives_zero():
     # The strength is below 1e-300 unless W_X < 1e-600; this raised ValueError.
     pair = StressStrengthPair(Params(1e-300, 1e-300), Params(1e-300, 1e-6))
