@@ -239,7 +239,8 @@ def _power_gamma(p: Params, m: float, s: float, w: float) -> float:
 def _lower_moment(p: Params, n: int, w: float) -> float:
     """E[X^n; X <= x] = e^-w * alpha^m * e^z Gamma(1 - m; z), m = n/beta, w = -ln F(x).
 
-    0.0 once e^-w underflows, without the gamma call (it fails past z = 2^53).
+    0.0 once e^-w underflows, without the gamma call, which rejects the
+    z = inf of w = inf.
     """
     if w > 745.0:  # also w = inf
         return 0.0

@@ -10,19 +10,10 @@ with an absolute slack, so all checkers resolve differences at the same
 double-precision granularity and the textbook implication chains cannot be
 broken by one checker seeing sub-epsilon structure another cannot.
 
-Implemented orders and their defining comparisons, for X against Y:
-
-    st    F_X(t) >= F_Y(t)                      everywhere
-    hr    sf_X(t) / sf_Y(t)                     decreasing
-    rh    F_X(t) / F_Y(t)                       decreasing
-    lr    f_X(t) / f_Y(t)                       decreasing
-    mrl   mrl_X(t) <= mrl_Y(t)                  everywhere
-    eit   eit_X(t) >= eit_Y(t)                  everywhere (note the >=)
-    hmrl  harmonic mean of mrl_X up to t <= same for Y
-    icx   integral of sf over (t, 1): X <= Y    everywhere
-    icv   integral of cdf over (0, t): X >= Y   everywhere
-    ttt   integral of sf over (0, q(p)): X <= Y on a p-lattice
-    disp  quantile spread q_Y(u) - q_X(u)       nondecreasing
+Each order is one row of the table `_ORDERS`: the lattice quantity it
+compares and one of three tests, for X against Y.  "ge" and "le" need X's
+value >= (<=) Y's at every point; "dec" needs X's value minus Y's to be
+nonincreasing along the lattice (for lr, hr and rh: the ratio decreasing).
 
 The integral-based orders use the identities
 
@@ -55,24 +46,25 @@ from .distribution import Params, _as_count, log_cdf, log_pdf, quantile, raw_mom
 from .errors import DomainError
 from .reliability import eit, mrl
 
-ORDER_KINDS = ("st", "hr", "rh", "lr", "mrl", "hmrl", "eit", "icx", "icv", "disp", "ttt")
+# kind -> (table quantity, test); see the module docstring.
+_ORDERS = {
+    "st": ("cdf", "ge"),
+    "hr": ("log_sf", "dec"),
+    "rh": ("log_cdf", "dec"),
+    "lr": ("log_pdf", "dec"),
+    "mrl": ("mrl", "le"),
+    "hmrl": ("hmrl", "le"),  # harmonic mean of mrl over (0, t)
+    "eit": ("eit", "ge"),  # note the >=
+    "icx": ("psi", "le"),  # integral of sf over (t, 1)
+    "icv": ("icv", "ge"),  # integral of cdf over (0, t)
+    "disp": ("quantile", "dec"),  # the spread q_Y - q_X nondecreasing
+    "ttt": ("ttt", "le"),  # integral of sf over (0, q(u)), on a u-lattice
+}
+ORDER_KINDS = tuple(_ORDERS)
 
 # Absolute slack on every grid comparison, absorbing float noise without
 # hiding real violations.
 MONOTONE_SLACK = 1e-10
-
-# Orders compared as a decreasing log-ratio, by table quantity.
-_LOG_RATIO = {"lr": "log_pdf", "hr": "log_sf", "rh": "log_cdf"}
-# Pointwise orders: table quantity, and whether X's value must be >= Y's.
-_POINTWISE = {
-    "st": ("cdf", True),
-    "mrl": ("mrl", False),
-    "eit": ("eit", True),
-    "hmrl": ("hmrl", False),
-    "icx": ("psi", False),
-    "icv": ("icv", True),
-    "ttt": ("ttt", False),
-}
 
 # (Params, grid_size) -> _Table, set only while a suite runs.
 _SHARED_TABLES: ContextVar[dict] = ContextVar("unitgompertz_order_tables")
@@ -80,7 +72,13 @@ _SHARED_TABLES: ContextVar[dict] = ContextVar("unitgompertz_order_tables")
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Outcome of one grid check: verdict, first violation, bookkeeping."""
+    """Outcome of one grid check: verdict, first violation, bookkeeping.
+
+    `first_violation` is (t, X's value, Y's value) for a "ge" or "le" order,
+    and (t, difference, previous finite difference) for a "dec" order, the
+    difference being X's value minus Y's.  For disp that is q_X - q_Y, the
+    negative of the spread q_Y - q_X.
+    """
 
     kind: str
     holds: bool
@@ -170,32 +168,29 @@ def _table(tables: dict, p: Params, grid_size: int) -> _Table:
     return table
 
 
-def _pointwise(kind, ts, lhs, rhs, ge: bool) -> OrderReport:
-    """lhs >= rhs (or <=) at every lattice point, within MONOTONE_SLACK."""
+def _scan(kind: str, test: str, ts, xs, ys) -> OrderReport:
+    """Run one order's test over the lattice; see `_ORDERS`.
+
+    "ge"/"le" skip points where either value is NaN; "dec" skips points
+    where the difference is not finite.
+    """
     skipped = 0
-    for t, a, b in zip(ts, lhs, rhs):
-        if math.isnan(a) or math.isnan(b):
+    prev = None
+    for t, a, b in zip(ts, xs, ys):
+        if test == "dec":
+            # "le" on the difference against the last finite difference.
+            d = a - b
+            if not math.isfinite(d):
+                skipped += 1
+                continue
+            a, b, prev = d, prev, d
+            if b is None:
+                continue
+        elif math.isnan(a) or math.isnan(b):
             skipped += 1
             continue
-        bad = a < b - MONOTONE_SLACK if ge else a > b + MONOTONE_SLACK
-        if bad:
+        if (a < b - MONOTONE_SLACK) if test == "ge" else (a > b + MONOTONE_SLACK):
             return OrderReport(kind, False, (t, a, b), len(ts), skipped)
-    return OrderReport(kind, True, None, len(ts), skipped)
-
-
-def _monotone(kind, ts, diffs, decreasing: bool) -> OrderReport:
-    """diffs nonincreasing (or nondecreasing) along the lattice."""
-    skipped = 0
-    prev_d = None
-    for t, d in zip(ts, diffs):
-        if not math.isfinite(d):
-            skipped += 1
-            continue
-        if prev_d is not None:
-            bad = d > prev_d + MONOTONE_SLACK if decreasing else d < prev_d - MONOTONE_SLACK
-            if bad:
-                return OrderReport(kind, False, (t, d, prev_d), len(ts), skipped)
-        prev_d = d
     return OrderReport(kind, True, None, len(ts), skipped)
 
 
@@ -206,23 +201,13 @@ def check_order(kind: str, x: Params, y: Params, grid_size: int = 128) -> OrderR
     ttt) use the same lattice in probability space.  Lattice points where a
     defining ratio degenerates to 0/0 are skipped and counted.
     """
-    if kind not in ORDER_KINDS:
+    if kind not in _ORDERS:
         raise DomainError(f"unknown order kind {kind!r}; choose from {ORDER_KINDS}")
     grid_size = _as_count(grid_size, 64, "grid_size")
+    name, test = _ORDERS[kind]
     tables = _SHARED_TABLES.get({})
     tx, ty = (_table(tables, p, grid_size) for p in (x, y))
-    ts = tx.ts
-
-    if kind in _LOG_RATIO:
-        name = _LOG_RATIO[kind]
-        diffs = [a - b for a, b in zip(getattr(tx, name), getattr(ty, name))]
-        return _monotone(kind, ts, diffs, decreasing=True)
-    if kind == "disp":
-        # The quantile difference must widen with u.
-        diffs = [qy - qx for qx, qy in zip(tx.quantile, ty.quantile)]
-        return _monotone(kind, ts, diffs, decreasing=False)
-    name, ge = _POINTWISE[kind]
-    return _pointwise(kind, ts, getattr(tx, name), getattr(ty, name), ge)
+    return _scan(kind, test, tx.ts, getattr(tx, name), getattr(ty, name))
 
 
 SUITE_ORDER_KINDS = ("lr", "hr", "rh", "mrl", "eit", "st", "hmrl", "ttt", "icx", "icv")

@@ -23,6 +23,10 @@ Evaluation regimes, each a closed series or continued fraction:
   applied once, as two factors x^(s/2) where x^s alone may overflow.  From a
   seed at or below 1/2 no step cancels more than a few bits.
 
+Series stop at a term below _EPS of their sum; continued fractions once a
+step's ratio is within 2 * _EPS of 1, since past x ~ 2^53, where b = x + 1 - s
+absorbs its b += 2, that ratio can settle at 1 - 2^-53, beyond _EPS.
+
 The ratio r = x^-s e^x Gamma(s; x) (`_tail_ratio`), which the continued
 fraction and the recurrence yield directly, stays finite where Gamma(s; x)
 and x^s leave the double range together.
@@ -79,17 +83,23 @@ def _cf_factor(s: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if abs(delta - 1.0) < 2.0 * _EPS:
             return h
     raise OracleError(f"continued fraction for Gamma({s}, {x}) did not converge")
 
 
-def _exp_or_inf(arg: float) -> float:
-    """e^arg, saturating to inf where math.exp raises OverflowError."""
+def _exp_or_inf(arg: float, scale: float = 1.0) -> float:
+    """e^arg * scale, saturating to inf; where e^arg alone overflows, scale
+    goes between two factors e^(arg/2), so a product that fits is kept."""
     try:
-        return math.exp(arg)
+        return math.exp(arg) * scale
+    except OverflowError:
+        pass
+    try:  # past arg = 1419.6 the product overflows too, for any scale > 1e-308
+        half = math.exp(0.5 * arg)
     except OverflowError:
         return math.inf
+    return half * scale * half
 
 
 def _lower_series(s: float, x: float) -> float:
@@ -179,7 +189,7 @@ def _tail_ratio(s: float, x: float) -> float:
     if _by_continued_fraction(s, x):
         return _cf_factor(s, x)
     if s >= 0.5:  # one exponential: x^-s alone may underflow where the ratio does not
-        return _exp_or_inf(x - s * math.log(x)) * upper_inc_gamma(s, x)
+        return _exp_or_inf(x - s * math.log(x), upper_inc_gamma(s, x))
     return _recur(s, x, *_seed(s, x))
 
 
@@ -192,7 +202,7 @@ def upper_inc_gamma(s: float, x: float) -> float:
     """
     _check_args(s, x)
     if _by_continued_fraction(s, x):
-        return _exp_or_inf(s * math.log(x) - x) * _cf_factor(s, x)
+        return _exp_or_inf(s * math.log(x) - x, _cf_factor(s, x))
     if s >= 0.5:
         return math.gamma(s) - _lower_series(s, x)
     return _small_x(s, x)
@@ -207,7 +217,7 @@ def upper_inc_gamma_scaled(s: float, x: float) -> float:
     """
     _check_args(s, x)
     if _by_continued_fraction(s, x):
-        return _exp_or_inf(s * math.log(x)) * _cf_factor(s, x)
+        return _exp_or_inf(s * math.log(x), _cf_factor(s, x))
     # x < 1 here, so the e^x factor is harmless.
     return math.exp(x) * upper_inc_gamma(s, x)
 
@@ -259,7 +269,7 @@ def _log_sq_tail_scaled(a: float) -> float:
         # h <- h * d * c
         ev, e1, e2 = dv * cv, d1 * cv + dv * c1, d2 * cv + 2.0 * d1 * c1 + dv * c2
         hv, h1, h2 = hv * ev, h1 * ev + hv * e1, h2 * ev + 2.0 * h1 * e1 + hv * e2
-        if abs(ev - 1.0) + abs(e1) + abs(e2) < _EPS:
+        if abs(ev - 1.0) + abs(e1) + abs(e2) < 2.0 * _EPS:
             log_a = math.log(a)
             return a * ((log_a * hv + 2.0 * h1) * log_a + h2)
     raise OracleError(f"continued fraction for the log-squared tail at {a} did not converge")

@@ -191,6 +191,16 @@ class TestCurve:
         assert (code, err) == (0, "")
         assert out.read_text().splitlines()[-1].split(",")[0] == "1.0"
 
+    def test_steep_lower_tail_curve_completes(self, tmp_path, capsys):
+        # z = alpha x^-beta reaches 1e30 at x = 0.001, past 2^53.
+        out = tmp_path / "c.csv"
+        code, _, err = run(capsys, "curve", "--fn", "eit", "--alpha", "1", "--beta", "10",
+                           "--grid", "0.001:0.999:999", "--out", str(out))
+        assert (code, err) == (0, "")
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 999
+        assert all(math.isfinite(float(line.split(",")[1])) for line in rows)
+
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "curve", "--fn", "pdf", "--alpha", "1", "--beta", "1",
                            "--grid", "0.5:0.1:5", "--out", str(tmp_path / "x.csv"))

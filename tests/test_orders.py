@@ -17,6 +17,7 @@ from unitgompertz import (
     log_pdf,
     common_scale_order_suite,
     orders,
+    quantile,
 )
 
 
@@ -78,6 +79,20 @@ class TestEitDirection:
         small, large = Params(1.0, 1.0), Params(2.0, 1.0)
         assert eit(small, 0.5) >= eit(large, 0.5)
         assert check_order("eit", small, large).holds
+
+
+class TestDispersive:
+    def test_violation_records_the_quantile_difference_x_minus_y(self):
+        # The spread q_Y - q_X must not shrink; here it shrinks at once, so
+        # q_X - q_Y rises between the first two lattice points.
+        x, y = Params(2.0, 1.0), Params(1.0, 1.0)
+        r = check_order("disp", x, y)
+        assert not r.holds
+        t, d, prev = r.first_violation
+        assert t == 2 / 129
+        assert d == quantile(x, t) - quantile(y, t)
+        assert prev == quantile(x, 1 / 129) - quantile(y, 1 / 129)
+        assert d > prev > 0.0
 
 
 class TestCommonScaleSuite:

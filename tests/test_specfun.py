@@ -246,6 +246,35 @@ def test_huge_negative_shapes_meet_the_contract(s, x):
     assert abs(upper_inc_gamma(s, x) / want - 1) <= 1e-10
 
 
+def test_continued_fractions_converge_past_two_to_the_53():
+    # There b = x + 1 - s absorbs the += 2, and the step ratio can settle at
+    # 1 - 2^-53, a hair more than _EPS from 1: the exit test must still pass.
+    mp = pytest.importorskip("mpmath")
+    s, z = -0.12397145591019296, 5.9834597780712965e22
+    a = 1.811832145113628e18
+    with mp.workdps(40):
+        want_gamma = mp.gammainc(s, z) * mp.exp(mp.mpf(z))
+        want_log_sq = mp.quad(lambda u: mp.exp(-u) * mp.log(a + u) ** 2, [0, 1, 10, mp.inf])
+    assert abs(upper_inc_gamma_scaled(s, z) / float(want_gamma) - 1) <= 1e-12
+    assert abs(specfun._log_sq_tail_scaled(a) / float(want_log_sq) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("fn, s, x", [
+    (upper_inc_gamma, 172.2620427492456, 204.6081838609892),
+    (upper_inc_gamma_scaled, 100.2, 1200.0),
+])
+def test_continued_fraction_fits_just_under_the_top_of_the_range(fn, s, x):
+    # x^s e^-x (or x^s) alone overflows; times the continued fraction it fits.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = mp.gammainc(s, x) * (1 if fn is upper_inc_gamma else mp.exp(x))
+    assert abs(fn(s, x) / float(want) - 1) <= 1e-12
+
+
+def test_song_measure_at_huge_alpha_is_finite():
+    assert math.isfinite(song_measure(Params(1e30, 1.0)))
+
+
 def test_log_sq_tail_matches_mpmath_across_the_seam(log_sq_reference):
     for a, scaled in log_sq_reference:
         assert abs(specfun._log_sq_tail_scaled(a) / scaled - 1) <= 1e-13, a
