@@ -13,7 +13,9 @@ and how a curve grid is clamped.
 
 Exit codes: 0 on success, 2 on a domain error (message to stderr), 3 when
 verification fails.  CSV numbers use the shortest round-trip decimal form,
-so files are byte-identical across runs for identical flags and seed.
+so files are byte-identical across runs for identical flags and seed.  The
+`curve` functions in `_ARRAY_CURVES` get the whole grid in one call, as a 1-d
+array; the others one float per point.
 """
 
 from __future__ import annotations
@@ -74,9 +76,23 @@ REGISTRY = {
 }
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
+# Curves whose functions take the whole grid as one 1-d array.
+_ARRAY_CURVES = frozenset({"mrl", "eit", "lorenz", "bonferroni", "zenga"})
+
+# Rows per write: a 10^6-row CSV is never held as one string.
+_CSV_CHUNK = 65536
+
+
+def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
+    """Write a header line, then one row per element of the float64 columns.
+
+    Numbers are the shortest decimal strings that round-trip to the same double.
+    """
+    with open(path, "w", newline="\n") as handle:
+        handle.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = zip(*(map(repr, c[i : i + _CSV_CHUNK].tolist()) for c in columns))
+            handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _require(args: argparse.Namespace, *names: str) -> list[float]:
@@ -121,28 +137,23 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     lo, hi, count = _parse_grid(args.grid)
     lo, hi = max(lo, window[0]), min(hi, window[1])
     op = getattr(module, name)
-    points = []  # all computed before the file is opened, so a failure writes nothing
-    for i in range(count):
-        if count == 1:
-            x = lo
-        elif i == count - 1:
-            x = hi  # lo + (count-1)*(hi-lo)/(count-1) can round past hi
-        else:
-            x = lo + i * (hi - lo) / (count - 1)
-        points.append((x, op(p, x)))
-    with open(args.out, "w", newline="\n") as handle:
-        handle.write(f"x,{args.fn}\n")
-        for x, y in points:
-            handle.write(f"{_fmt(x)},{_fmt(y)}\n")
+    if count == 1:
+        xs = np.array([lo])
+    else:
+        xs = lo + np.arange(count) * (hi - lo) / (count - 1)
+        xs[-1] = hi  # lo + (count-1)*(hi-lo)/(count-1) can round past hi
+    # All computed before the file is opened, so a failure writes nothing.
+    if args.fn in _ARRAY_CURVES:
+        ys = op(p, xs)
+    else:
+        ys = np.array([op(p, x) for x in xs.tolist()], dtype=float)
+    _write_csv(args.out, f"x,{args.fn}", xs, ys)
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     draws = dist.sample(Params(args.alpha, args.beta), args.n, args.seed)
-    with open(args.out, "w", newline="\n") as handle:
-        handle.write("x\n")
-        for x in draws:
-            handle.write(f"{_fmt(x)}\n")
+    _write_csv(args.out, "x", draws)
     return 0
 
 

@@ -20,16 +20,25 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .distribution import (
     Params,
     _lower_moment,
+    _lower_moment_array,
     _neg_log_cdf,
+    _neg_log_cdf_array,
+    _points,
     _power_gamma,
+    _power_gamma_array,
+    _quotient,
     _tail_moment,
+    _tail_moment_array,
     cdf,
     raw_moment,
 )
 from .errors import DomainError
+from .specfun import _PYTHON_FLOAT, _elementwise, _piecewise
 
 
 def first_incomplete_moment(p: Params, z: float) -> float:
@@ -51,15 +60,24 @@ def lorenz(p: Params, prob: float) -> float:
     """Lorenz curve L(p): share of the mean owned by the poorest `prob` mass.
 
     Uses w = -ln(prob), the exact -ln F of the quantile, so L(1) = 1 to
-    machine precision.
+    machine precision.  prob may be a 1-d array (README, "Command line").
     """
+    if isinstance(prob, np.ndarray):
+        prob = _points(lorenz, p, prob, lambda u: (0.0 < u) & (u <= 1.0))
+        with np.errstate(**_PYTHON_FLOAT):
+            return _quotient(_lower_moment_array(p, 1, -_elementwise(math.log, prob)),
+                             raw_moment(p, 1))
     if not 0.0 < prob <= 1.0:
         raise DomainError(f"lorenz needs prob in (0, 1], got {prob!r}")
     return _lower_moment(p, 1, -math.log(prob)) / raw_moment(p, 1)
 
 
 def bonferroni(p: Params, prob: float) -> float:
-    """Bonferroni curve B(p) = L(p) / p."""
+    """Bonferroni curve B(p) = L(p) / p; prob may be a 1-d array."""
+    if isinstance(prob, np.ndarray):
+        prob = _points(bonferroni, p, prob, lambda u: (0.0 < u) & (u <= 1.0))
+        with np.errstate(**_PYTHON_FLOAT):
+            return lorenz(p, prob) / prob
     if not 0.0 < prob <= 1.0:
         raise DomainError(f"bonferroni needs prob in (0, 1], got {prob!r}")
     return lorenz(p, prob) / prob
@@ -73,7 +91,13 @@ def zenga(p: Params, x: float) -> float:
     (the cdf e^-w cancels analytically), and I_1, the integral of y f(y)
     over (x, 1), is the tail moment; one incomplete-gamma call serves both.
     Endpoints are excluded: one of the conditional means degenerates there.
+    x may be a 1-d array (README, "Command line").
     """
+    if isinstance(x, np.ndarray):
+        x = _points(zenga, p, x, lambda x: (0.0 < x) & (x < 1.0))
+        with np.errstate(**_PYTHON_FLOAT):
+            w = _neg_log_cdf_array(p, x)
+            return _piecewise(np.isfinite(w), lambda pick: _zenga_array(p, w[pick]), lambda _: 1.0)
     if not 0.0 < x < 1.0:
         raise DomainError(f"zenga needs x in (0, 1), got {x!r}")
     w = _neg_log_cdf(p, x)
@@ -82,3 +106,11 @@ def zenga(p: Params, x: float) -> float:
     m = 1.0 / p.beta
     below = _power_gamma(p, m, 1.0 - m, w)
     return 1.0 - below * -math.expm1(-w) / _tail_moment(p, 1, w, math.exp(-w) * below)
+
+
+def _zenga_array(p: Params, w: np.ndarray) -> np.ndarray:
+    """`zenga` at each finite w = -ln F(x)."""
+    m = 1.0 / p.beta
+    below = _power_gamma_array(p, m, 1.0 - m, w)
+    return 1.0 - _quotient(below * -_elementwise(math.expm1, -w),
+                           _tail_moment_array(p, 1, w, _elementwise(math.exp, -w) * below))

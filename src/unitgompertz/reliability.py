@@ -22,19 +22,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distribution import (
     Params,
     _as_count,
     _integrated_sf,
+    _integrated_sf_array,
     _neg_log_cdf,
+    _neg_log_cdf_array,
+    _points,
     _power_gamma,
+    _power_gamma_array,
+    _quotient,
     _tail_moment,
     _v_integral,
     pdf,
     sf,
 )
 from .errors import DomainError
-from .specfun import _exp_or_inf
+from .specfun import _PYTHON_FLOAT, _elementwise, _exp_or_inf, _piecewise
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,12 @@ def mrl(p: Params, t: float) -> float:
     mrl(0) is the mean; mrl(1) is defined as 0, the continuous limit as the
     remaining support shrinks to nothing.  It is Psi / sf, with Psi the
     integral of sf over (t, 1); near 1, Psi comes from the endpoint branch
-    and is positive term by term.
+    and is positive term by term.  t may be a 1-d array (README, "Command line").
     """
+    if isinstance(t, np.ndarray):
+        t = _points(mrl, p, t, lambda t: (0.0 <= t) & (t <= 1.0))
+        with np.errstate(**_PYTHON_FLOAT):
+            return _piecewise(t == 1.0, lambda _: 0.0, lambda pick: _mrl_array(p, t[pick]))
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"mrl needs t in [0, 1], got {t!r}")
     if t == 1.0:
@@ -102,12 +113,28 @@ def mrl(p: Params, t: float) -> float:
     return _integrated_sf(p, t, w) / -math.expm1(-w)
 
 
+def _mrl_array(p: Params, t: np.ndarray) -> np.ndarray:
+    """`mrl` at each t in [0, 1)."""
+    w = _neg_log_cdf_array(p, t)
+    return _quotient(_integrated_sf_array(p, t, w), -_elementwise(math.expm1, -w))
+
+
 def eit(p: Params, x: float) -> float:
     """Expected inactivity time E[x - X | X <= x] for x in (0, 1].
 
     Closed form (alpha^(1/beta) / beta) * e^z * Gamma(-1/beta; z) with
     z = alpha + w, evaluated in scaled form; eit(1) equals 1 - mean.
+    x may be a 1-d array (README, "Command line").
     """
+    if isinstance(x, np.ndarray):
+        x = _points(eit, p, x, lambda x: (0.0 < x) & (x <= 1.0))
+        with np.errstate(**_PYTHON_FLOAT):
+            w = _neg_log_cdf_array(p, x)
+            return _piecewise(
+                np.isfinite(w),
+                lambda pick: _power_gamma_array(p, 1.0 / p.beta, -1.0 / p.beta, w[pick]) / p.beta,
+                lambda _: 0.0,
+            )
     if not 0.0 < x <= 1.0:
         raise DomainError(f"eit needs x in (0, 1], got {x!r}")
     w = _neg_log_cdf(p, x)

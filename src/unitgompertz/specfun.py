@@ -31,6 +31,15 @@ The ratio r = x^-s e^x Gamma(s; x) (`_tail_ratio`), which the continued
 fraction and the recurrence yield directly, stays finite where Gamma(s; x)
 and x^s leave the double range together.
 
+`upper_inc_gamma_scaled` also takes x as a 1-d float array with one scalar s.
+Its array form runs each loop above as numpy arithmetic over all elements at
+once, driven by `_converge`, which advances the state arrays and retires each
+element at the iteration where its scalar loop would stop.  Only +, -, *, /,
+abs and comparisons act on arrays; every log, exp, expm1, power and gamma
+runs element by element through `math` (`_elementwise`), so each element is
+bit-identical to the scalar call, and numpy's error state is set to Python's
+float semantics (`_PYTHON_FLOAT`) for the duration.
+
 The tail integral of e^(-t) (ln t)^2 over (a, inf) is gamma^2 + pi^2/6 minus
 the termwise-integrated power series of e^(-t) for small a, and the second
 s-derivative of the Legendre continued fraction at s = 1 above that.
@@ -39,6 +48,8 @@ s-derivative of the Legendre continued fraction at s = 1 above that.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, OracleError
 
@@ -144,11 +155,16 @@ def _seed(s: float, x: float) -> tuple[float, float]:
         return a, math.gamma(a) - x**a * (1.0 / a + total)
     if a == 0.0:  # the E1 series; _RGAMMA_Q[0] is Euler's constant
         return a, -_RGAMMA_Q[0] - math.log(x) - total
+    return a, _rgamma_head(a) - math.expm1(a * math.log(x)) / a - x**a * total
+
+
+def _rgamma_head(a: float) -> float:
+    """(Gamma(1+a) - 1)/a for |a| < _RGAMMA_SEAM, a != 0."""
     q = 0.0
     for c in reversed(_RGAMMA_Q):
         q = q * a + c
     # 1/Gamma(1+a) = 1 + a*q, so (Gamma(1+a) - 1)/a = -q / (1 + a*q).
-    return a, -q / (1.0 + a * q) - math.expm1(a * math.log(x)) / a - x**a * total
+    return -q / (1.0 + a * q)
 
 
 def _recur(s: float, x: float, a: float, g: float) -> float:
@@ -214,12 +230,169 @@ def upper_inc_gamma_scaled(s: float, x: float) -> float:
     Every closed form in this package that multiplies Gamma(s; z) by e^z (or
     by e^alpha with z >= alpha) should go through this function; the bare
     product overflows once z passes ~700.
+
+    x may also be a 1-d float array, with s one scalar shape: the array form
+    returns every element bit-identical to the scalar call.  It raises
+    DomainError before any work if s or some element is outside the domain,
+    and otherwise OracleError where a scalar call would.
     """
+    if isinstance(x, np.ndarray):
+        return _scaled_array(s, x)
     _check_args(s, x)
     if _by_continued_fraction(s, x):
         return _exp_or_inf(s * math.log(x), _cf_factor(s, x))
     # x < 1 here, so the e^x factor is harmless.
     return math.exp(x) * upper_inc_gamma(s, x)
+
+
+# Python's float arithmetic, for the numpy steps of the array forms: overflow,
+# underflow and nan are silent, and only division by zero raises.
+_PYTHON_FLOAT = {"over": "ignore", "under": "ignore", "invalid": "ignore", "divide": "raise"}
+
+
+def _elementwise(f, *arrays: np.ndarray) -> np.ndarray:
+    """f over the elements of equal-length 1-d arrays, as Python floats."""
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
+def _piecewise(mask: np.ndarray, when, otherwise) -> np.ndarray:
+    """when(mask) where mask holds and otherwise(~mask) elsewhere; each is
+    called with its selection only if that selection is not empty."""
+    out = np.empty(len(mask))
+    for pick, f in ((mask, when), (~mask, otherwise)):
+        if pick.any():
+            out[pick] = f(pick)
+    return out
+
+
+def _converge(step, state: tuple, steps: range, fail) -> np.ndarray:
+    """A scalar loop over 1-d arrays of its states at once.
+
+    The loop is `for k in steps: state, done = step(k, *state)`, returning
+    state[0] once done.  Each element retires at the iteration where its own
+    loop would return, and step uses only +, -, *, /, abs and comparisons,
+    so every result is bit-identical to the scalar loop's.  Retired elements
+    ride along, ignored, until they are half the arrays, which are then
+    compacted; step must not raise on them.  If elements are left after the
+    last step, raises fail(i) for the first such index i.
+    """
+    out = np.empty(len(state[0]))
+    index = np.arange(len(out))
+    live = np.ones(len(out), dtype=bool)
+    left = len(out)
+    for k in steps:
+        if not left:
+            return out
+        state, done = step(k, *state)
+        done &= live
+        if done.any():
+            out[index[done]] = state[0][done]
+            live &= ~done
+            left = np.count_nonzero(live)
+            if 2 * left <= len(live):
+                index, state, live = index[live], [v[live] for v in state], live[live]
+    if left:
+        raise fail(int(index[live][0]))
+    return out
+
+
+def _cf_factor_array(s: float, x: np.ndarray) -> np.ndarray:
+    """`_cf_factor` at each element of x."""
+
+    def step(i, h, b, c, d):
+        an = -i * (i - s)
+        b = b + 2.0
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        delta = d * c
+        return (h * delta, b, c, d), np.abs(delta - 1.0) < 2.0 * _EPS
+
+    b = x + 1.0 - s
+    d = 1.0 / b
+    return _converge(step, (d, b, np.full(len(x), 1.0 / _TINY), d), range(1, _MAX_ITER),
+                     lambda j: OracleError(f"continued fraction for Gamma({s}, {float(x[j])})"
+                                           " did not converge"))
+
+
+def _lower_series_array(s: float, x: np.ndarray) -> np.ndarray:
+    """`_lower_series` at each element of x."""
+    ap = s  # the same for every element: one running sum, as in the scalar loop
+
+    def step(_, total, term, x):
+        nonlocal ap
+        ap += 1.0
+        term = term * (x / ap)
+        total = total + term
+        return (total, term, x), np.abs(term) < np.abs(total) * _EPS
+
+    first = np.full(len(x), 1.0 / s)
+    total = _converge(step, (first, first, x), range(_MAX_ITER),
+                      lambda j: OracleError(f"series for lower incomplete gamma({s}, {float(x[j])})"
+                                            " did not converge"))
+    return _elementwise(lambda v, t: t * math.exp(s * math.log(v) - v), x, total)
+
+
+def _small_x_array(s: float, x: np.ndarray) -> np.ndarray:
+    """`_small_x` at each element of x: `_seed`, then `_recur`, over the array."""
+    a = s - math.floor(s + 0.5)
+
+    def step(k, total, term, x):
+        term = term * (-x / k)
+        contrib = term / (a + k)
+        total = total + contrib
+        return (total, term, x), np.abs(contrib) <= np.abs(total) * _EPS
+
+    total = _converge(step, (np.zeros(len(x)), np.ones(len(x)), x), range(1, _MAX_ITER),
+                      lambda j: OracleError(f"series for Gamma({a}, {float(x[j])}) did not converge"))
+    if abs(a) >= _RGAMMA_SEAM:
+        head = math.gamma(a)
+        g = _elementwise(lambda v, t: head - v**a * (1.0 / a + t), x, total)
+    elif a == 0.0:
+        g = _elementwise(lambda v, t: -_RGAMMA_Q[0] - math.log(v) - t, x, total)
+    else:
+        head = _rgamma_head(a)
+        g = _elementwise(lambda v, t: head - math.expm1(a * math.log(v)) / a - v**a * t, x, total)
+    if a == s:
+        return g
+    r = _elementwise(lambda v, gv: math.exp(v) * v**-a * gv, x, g)
+    for _ in range(round(a - s)):
+        a -= 1.0
+        r = (x * r - 1.0) / a
+
+    def scale(v, rv):
+        try:
+            half = v ** (0.5 * s)
+        except OverflowError:
+            return math.inf
+        return half * (half * math.exp(-v) * rv)
+
+    return _elementwise(scale, x, r)
+
+
+def _scaled_array(s: float, x: np.ndarray) -> np.ndarray:
+    """`upper_inc_gamma_scaled` at each element of the 1-d array x."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"lower limit must be a float or a 1-d array, got a {x.ndim}-d array")
+    bad = np.flatnonzero(~(np.isfinite(x) & (x > 0.0)))
+    _check_args(s, float(x[bad[0]]) if bad.size else 1.0)  # s first, then the first bad x
+    with np.errstate(**_PYTHON_FLOAT):
+        return _piecewise(
+            ((x >= 1.0) & (x >= s + 1.0)) | (s < -_MAX_ITER),
+            lambda pick: _elementwise(lambda v, h: _exp_or_inf(s * math.log(v), h),
+                                      x[pick], _cf_factor_array(s, x[pick])),
+            lambda pick: _below_cf_array(s, x[pick]),
+        )
+
+
+def _below_cf_array(s: float, x: np.ndarray) -> np.ndarray:
+    """e^x * Gamma(s; x) at each x < max(1, s + 1), as the scalar form gives it."""
+    if s >= 0.5:
+        head = math.gamma(s)
+        return _elementwise(lambda v, low: math.exp(v) * (head - low), x, _lower_series_array(s, x))
+    return _elementwise(lambda v, g: math.exp(v) * g, x, _small_x_array(s, x))
 
 
 def exp_integral_e1(x: float) -> float:

@@ -149,13 +149,23 @@ class TestCurve:
             assert len(lines) == 1 + int(grid.split(":")[2])
 
     def test_values_round_trip(self, tmp_path, capsys):
+        # Every curve function, whether it takes the grid as one array or
+        # point by point, at alpha < 1 and at beta >= 2.
         out = tmp_path / "c.csv"
-        run(capsys, "curve", "--fn", "cdf", "--alpha", "1", "--beta", "1",
-            "--grid", "0.1:0.9:9", "--out", str(out))
-        p = Params(1.0, 1.0)
-        for line in out.read_text().splitlines()[1:]:
-            xs, ys = line.split(",")
-            assert float(ys) == cdf(p, float(xs))
+        curves = [fn for fn, (*_, window) in REGISTRY.items() if window is not None]
+        assert len(curves) == 12
+        for a, b in (("0.5", "1.5"), ("1.5", "2.5")):
+            p = Params(float(a), float(b))
+            for fn in curves:
+                module, name, _, _ = REGISTRY[fn]
+                code, _, err = run(capsys, "curve", "--fn", fn, "--alpha", a, "--beta", b,
+                                   "--grid", "0.1:0.9:9", "--out", str(out))
+                assert (code, err) == (0, "")
+                lines = out.read_text().splitlines()
+                assert lines[0] == f"x,{fn}" and len(lines) == 10
+                for line in lines[1:]:
+                    xs, ys = line.split(",")
+                    assert float(ys) == getattr(module, name)(p, float(xs)), (fn, a, b, xs)
 
     def test_single_point_grid(self, tmp_path, capsys):
         out = tmp_path / "one.csv"

@@ -49,6 +49,15 @@ def test_curve_pays_the_head_once(tmp_path, gamma_calls, fn):
     assert len(gamma_calls) <= 1000
 
 
+@pytest.mark.parametrize("fn", ["mrl", "lorenz", "zenga", "eit", "bonferroni"])
+def test_curve_makes_one_array_call(tmp_path, gamma_calls, fn):
+    # The head, then one call with the whole grid as an array.
+    code = cli.main(["curve", "--fn", fn, "--alpha", "1.5", "--beta", "2",
+                     "--grid", "0.001:0.999:999", "--out", str(tmp_path / "c.csv")])
+    assert code == 0
+    assert len(gamma_calls) <= 2
+
+
 def test_suite_pays_each_head_once(gamma_calls):
     common_scale_order_suite(0.5, 1.2, 1.0, grid_size=128)
     assert len(gamma_calls) <= SUITE_GAMMA_CALLS
