@@ -13,14 +13,15 @@ and how a curve grid is clamped.
 
 Exit codes: 0 on success, 2 on a domain error (message to stderr), 3 when
 verification fails.  CSV numbers use the shortest round-trip decimal form,
-so files are byte-identical across runs for identical flags and seed.  The
-`curve` functions in `_ARRAY_CURVES` get the whole grid in one call, as a 1-d
-array; the others one float per point.
+so files are byte-identical across runs for identical flags and seed.
+Every `curve` function gets the whole grid in one call, as a 1-d array.
+`build_parser` builds the parser once per process, on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -75,9 +76,6 @@ REGISTRY = {
     "ssr": (reliability, "stress_strength", ("alpha1", "beta1", "alpha2", "beta2"), None),
 }
 
-
-# Curves whose functions take the whole grid as one 1-d array.
-_ARRAY_CURVES = frozenset({"mrl", "eit", "lorenz", "bonferroni", "zenga"})
 
 # Rows per write: a 10^6-row CSV is never held as one string.
 _CSV_CHUNK = 65536
@@ -142,11 +140,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     else:
         xs = lo + np.arange(count) * (hi - lo) / (count - 1)
         xs[-1] = hi  # lo + (count-1)*(hi-lo)/(count-1) can round past hi
-    # All computed before the file is opened, so a failure writes nothing.
-    if args.fn in _ARRAY_CURVES:
-        ys = op(p, xs)
-    else:
-        ys = np.array([op(p, x) for x in xs.tolist()], dtype=float)
+    ys = op(p, xs)  # before the file is opened, so a failure writes nothing
     _write_csv(args.out, f"x,{args.fn}", xs, ys)
     return 0
 
@@ -239,6 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitgompertz",

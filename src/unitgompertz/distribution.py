@@ -26,14 +26,24 @@ it once per law rather than once per point.  The tail integrals over (x, 1),
 they are instead summed as Taylor series in v over (0, w) by `_endpoint_mean`
 (the endpoint branch), which leaves nothing to cancel.
 
+log_cdf, log_pdf, pdf, cdf, sf and quantile take x as a float or a 1-d
+array.  A scalar call tests the type once and then calls only private
+helpers; ln(alpha * beta) is formed once per Params, as ln alpha + ln beta
+where the product leaves the normal doubles.  An array call returns each
+element bit-identical to the scalar call: its logs, exps, expm1s and powers
+run through `math` and the builtin `pow`, and only +, -, *, / and
+comparisons through numpy.
+
 Each of `_neg_log_cdf`, `_power_gamma`, `_lower_moment`, `_endpoint_mean`,
 `_tail_moment` and `_integrated_sf` has an `_array` counterpart that takes a
 1-d array of points and returns each element bit-identical to the scalar
-helper: `_power_gamma_array` makes one array call of
-`specfun.upper_inc_gamma_scaled` for all points off the head, and the
-endpoint series runs under specfun's retire-on-convergence loop
-`_converge`.  These serve the array forms of mrl, eit, zenga, lorenz and
-bonferroni; `_points` checks their input as the scalar loop would.
+helper: `_neg_log_cdf_array` maps expm1 over -beta ln x and hands the
+elements where it may overflow to the scalar helper, `_power_gamma_array`
+makes one array call of `specfun.upper_inc_gamma_scaled` for all points
+off the head, and the endpoint series runs under specfun's
+retire-on-convergence loop `_converge`.  These serve the array forms here
+and in `reliability` and `inequality`; `_on_points` checks their input as
+the scalar loop would.
 """
 
 from __future__ import annotations
@@ -49,6 +59,9 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, OracleError
+
+_MIN = sys.float_info.min
+_ndarray = np.ndarray  # what the public functions dispatch on
 
 
 def _as_count(n, minimum: int, what: str) -> int:
@@ -86,6 +99,16 @@ class Params:
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)
+        # ln(alpha * beta), in the density and both hazards; not a field.
+        object.__setattr__(self, "_log_alpha_beta", _log_product(self.alpha, self.beta))
+
+
+def _log_product(a: float, b: float) -> float:
+    """ln(a * b) for a, b > 0; ln a + ln b where the product is not a normal double."""
+    ab = a * b
+    if _MIN <= ab < math.inf:
+        return math.log(ab)
+    return math.log(a) + math.log(b)
 
 
 # The endpoint series run while w * max(1, alpha + m) <= _ENDPOINT_SEAM * alpha,
@@ -161,14 +184,22 @@ def _v_integral(log_g) -> float:
     raise OracleError("trapezoid rule in ln v did not converge")
 
 
-def _check_unit(x: float) -> None:
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0.0, 1.0], got {x!r}")
+def _outside_unit(x) -> DomainError:
+    return DomainError(f"x must lie in [0.0, 1.0], got {x!r}")
+
+
+# Each public function below takes x as a float or a 1-d array.  A float
+# passes the dispatch on `type(x) is not float` alone, and a scalar call
+# then calls only private helpers, never another public function: one more
+# dispatch per nested call costs a scalar call 25-45% (ROADMAP, item 6).
 
 
 def log_cdf(p: Params, x: float) -> float:
     """log F(x) = -w; exact even when F underflows or x is next to 1."""
-    _check_unit(x)
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(log_cdf, p, x, _in_unit, lambda p, x: -_neg_log_cdf_array(p, x))
+    if not 0.0 <= x <= 1.0:
+        raise _outside_unit(x)
     return -_neg_log_cdf(p, x)
 
 
@@ -178,31 +209,52 @@ def log_pdf(p: Params, x: float) -> float:
     Returns -inf at x = 0 (continuous convention); raises DomainError
     outside [0, 1].
     """
-    _check_unit(x)
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(log_pdf, p, x, _in_unit, _log_pdf_array)
+    if not 0.0 <= x <= 1.0:
+        raise _outside_unit(x)
     if x == 0.0:
         return -math.inf
-    return math.log(p.alpha * p.beta) - _neg_log_cdf(p, x) - (1.0 + p.beta) * math.log(x)
+    return p._log_alpha_beta - _neg_log_cdf(p, x) - (1.0 + p.beta) * math.log(x)
 
 
 def pdf(p: Params, x: float) -> float:
     """Density f(x) on [0, 1]; f(0) = 0 and f(1) = alpha * beta exactly."""
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(pdf, p, x, _in_unit, _pdf_array)
     if x == 1.0:
         return p.alpha * p.beta
-    return math.exp(log_pdf(p, x))
+    if not 0.0 <= x <= 1.0:
+        raise _outside_unit(x)
+    if x == 0.0:
+        return 0.0
+    return math.exp(p._log_alpha_beta - _neg_log_cdf(p, x) - (1.0 + p.beta) * math.log(x))
 
 
 def cdf(p: Params, x: float) -> float:
     """Distribution function F(x); 0 at x = 0 and 1 at x = 1."""
-    return math.exp(log_cdf(p, x))
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(cdf, p, x, _in_unit,
+                          lambda p, x: specfun._elementwise(math.exp, -_neg_log_cdf_array(p, x)))
+    if not 0.0 <= x <= 1.0:
+        raise _outside_unit(x)
+    return math.exp(-_neg_log_cdf(p, x))
 
 
 def sf(p: Params, x: float) -> float:
     """Survival function 1 - F(x), via expm1 so precision survives x -> 1."""
-    return -math.expm1(log_cdf(p, x))
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(sf, p, x, _in_unit,
+                          lambda p, x: -specfun._elementwise(math.expm1, -_neg_log_cdf_array(p, x)))
+    if not 0.0 <= x <= 1.0:
+        raise _outside_unit(x)
+    return -math.expm1(-_neg_log_cdf(p, x))
 
 
 def quantile(p: Params, u: float) -> float:
     """Inverse cdf: x = (alpha / (alpha - ln u))^(1/beta) for u in (0, 1]."""
+    if type(u) is not float and isinstance(u, _ndarray):
+        return _on_points(quantile, p, u, _in_open_unit, _quantile_array)
     if not (0.0 < u <= 1.0):
         raise DomainError(f"quantile needs u in (0, 1], got {u!r}")
     return (p.alpha / (p.alpha - math.log(u))) ** (1.0 / p.beta)
@@ -317,11 +369,12 @@ def _integrated_sf(p: Params, t: float, w: float) -> float:
     return _tail_moment(p, 1, w) - t * -math.expm1(-w)
 
 
-def _points(fn, p: Params, x: np.ndarray, inside) -> np.ndarray:
-    """x as a 1-d float array for fn's array form, checked as [fn(p, v) for v in x] is.
+def _on_points(fn, p: Params, x: np.ndarray, inside, body) -> np.ndarray:
+    """fn's array form: body(p, x), with numpy's arithmetic under Python's float semantics.
 
-    At the first element where inside(x) is False, the elements before it
-    are evaluated, then fn raises its own DomainError at it.
+    x becomes a 1-d float array, checked as [fn(p, v) for v in x] is: at the
+    first element where inside(x) is False, the elements before it are
+    evaluated, then fn raises its own DomainError at it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -330,7 +383,18 @@ def _points(fn, p: Params, x: np.ndarray, inside) -> np.ndarray:
     if bad.size:
         fn(p, x[: bad[0]])
         fn(p, float(x[bad[0]]))
-    return x
+    with np.errstate(**specfun._PYTHON_FLOAT):
+        return body(p, x)
+
+
+def _in_unit(x: np.ndarray) -> np.ndarray:
+    """Inside [0, 1]."""
+    return (0.0 <= x) & (x <= 1.0)
+
+
+def _in_open_unit(x: np.ndarray) -> np.ndarray:
+    """Inside (0, 1]."""
+    return (0.0 < x) & (x <= 1.0)
 
 
 def _quotient(num: np.ndarray, den) -> np.ndarray:
@@ -340,9 +404,48 @@ def _quotient(num: np.ndarray, den) -> np.ndarray:
     return num / den
 
 
-def _neg_log_cdf_array(p: Params, x: np.ndarray) -> np.ndarray:
-    """`_neg_log_cdf` at each element of x."""
-    return specfun._elementwise(functools.partial(_neg_log_cdf, p), x)
+def _log_points(x: np.ndarray) -> np.ndarray:
+    """ln x at each element of x in [0, 1], -inf at 0."""
+    log_x = specfun._elementwise(math.log, np.where(x > 0.0, x, 1.0))
+    log_x[x == 0.0] = -math.inf
+    return log_x
+
+
+def _neg_log_cdf_array(p: Params, x: np.ndarray, log_x: np.ndarray | None = None) -> np.ndarray:
+    """`_neg_log_cdf` at each element of x in [0, 1]; log_x is ln x if the caller has it."""
+    if log_x is None:
+        log_x = _log_points(x)
+    t = -p.beta * log_x
+    # The scalar helper where expm1 may overflow, x = 0 (t = inf) included.
+    w = specfun._piecewise(
+        t > 709.0,
+        lambda pick: specfun._elementwise(functools.partial(_neg_log_cdf, p), x[pick]),
+        lambda pick: p.alpha * specfun._elementwise(math.expm1, t[pick]),
+    )
+    w[x == 1.0] = 0.0  # not the -0.0 of expm1(-0.0)
+    return w
+
+
+def _log_pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`log_pdf` at each x in [0, 1]."""
+    log_x = _log_points(x)
+    out = p._log_alpha_beta - _neg_log_cdf_array(p, x, log_x) - (1.0 + p.beta) * log_x
+    out[x == 0.0] = -math.inf
+    return out
+
+
+def _pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`pdf` at each x in [0, 1]."""
+    return specfun._piecewise(
+        x == 1.0,
+        lambda _: p.alpha * p.beta,
+        lambda pick: specfun._elementwise(math.exp, _log_pdf_array(p, x[pick])),
+    )
+
+
+def _quantile_array(p: Params, u: np.ndarray) -> np.ndarray:
+    """`quantile` at each u in (0, 1]."""
+    return specfun._pow(p.alpha / (p.alpha - specfun._elementwise(math.log, u)), 1.0 / p.beta)
 
 
 def _power_gamma_array(p: Params, m: float, s: float, w: np.ndarray) -> np.ndarray:
@@ -436,7 +539,8 @@ def raw_moment(p: Params, n: int) -> float:
 
 def log_pdf_second_derivative(p: Params, x: float) -> float:
     """d^2/dx^2 log f(x) = -((1 + beta) / x^2) * (beta * (alpha + w) - 1)."""
-    _check_unit(x)
+    if not 0.0 <= x <= 1.0:
+        raise _outside_unit(x)
     if x == 0.0:
         raise DomainError("second derivative undefined at x = 0")
     return -((1.0 + p.beta) / (x * x)) * (p.beta * (p.alpha + _neg_log_cdf(p, x)) - 1.0)

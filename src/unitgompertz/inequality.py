@@ -24,11 +24,13 @@ import numpy as np
 
 from .distribution import (
     Params,
+    _in_open_unit,
     _lower_moment,
     _lower_moment_array,
+    _ndarray,
     _neg_log_cdf,
     _neg_log_cdf_array,
-    _points,
+    _on_points,
     _power_gamma,
     _power_gamma_array,
     _quotient,
@@ -38,7 +40,7 @@ from .distribution import (
     raw_moment,
 )
 from .errors import DomainError
-from .specfun import _PYTHON_FLOAT, _elementwise, _piecewise
+from .specfun import _elementwise, _piecewise
 
 
 def first_incomplete_moment(p: Params, z: float) -> float:
@@ -62,22 +64,23 @@ def lorenz(p: Params, prob: float) -> float:
     Uses w = -ln(prob), the exact -ln F of the quantile, so L(1) = 1 to
     machine precision.  prob may be a 1-d array (README, "Command line").
     """
-    if isinstance(prob, np.ndarray):
-        prob = _points(lorenz, p, prob, lambda u: (0.0 < u) & (u <= 1.0))
-        with np.errstate(**_PYTHON_FLOAT):
-            return _quotient(_lower_moment_array(p, 1, -_elementwise(math.log, prob)),
-                             raw_moment(p, 1))
+    if type(prob) is not float and isinstance(prob, _ndarray):
+        return _on_points(lorenz, p, prob, _in_open_unit, _lorenz_array)
     if not 0.0 < prob <= 1.0:
         raise DomainError(f"lorenz needs prob in (0, 1], got {prob!r}")
     return _lower_moment(p, 1, -math.log(prob)) / raw_moment(p, 1)
 
 
+def _lorenz_array(p: Params, prob: np.ndarray) -> np.ndarray:
+    """`lorenz` at each prob in (0, 1]."""
+    return _quotient(_lower_moment_array(p, 1, -_elementwise(math.log, prob)), raw_moment(p, 1))
+
+
 def bonferroni(p: Params, prob: float) -> float:
     """Bonferroni curve B(p) = L(p) / p; prob may be a 1-d array."""
-    if isinstance(prob, np.ndarray):
-        prob = _points(bonferroni, p, prob, lambda u: (0.0 < u) & (u <= 1.0))
-        with np.errstate(**_PYTHON_FLOAT):
-            return lorenz(p, prob) / prob
+    if type(prob) is not float and isinstance(prob, _ndarray):
+        return _on_points(bonferroni, p, prob, _in_open_unit,
+                          lambda p, prob: _lorenz_array(p, prob) / prob)
     if not 0.0 < prob <= 1.0:
         raise DomainError(f"bonferroni needs prob in (0, 1], got {prob!r}")
     return lorenz(p, prob) / prob
@@ -93,11 +96,8 @@ def zenga(p: Params, x: float) -> float:
     Endpoints are excluded: one of the conditional means degenerates there.
     x may be a 1-d array (README, "Command line").
     """
-    if isinstance(x, np.ndarray):
-        x = _points(zenga, p, x, lambda x: (0.0 < x) & (x < 1.0))
-        with np.errstate(**_PYTHON_FLOAT):
-            w = _neg_log_cdf_array(p, x)
-            return _piecewise(np.isfinite(w), lambda pick: _zenga_array(p, w[pick]), lambda _: 1.0)
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(zenga, p, x, lambda x: (0.0 < x) & (x < 1.0), _zenga_array)
     if not 0.0 < x < 1.0:
         raise DomainError(f"zenga needs x in (0, 1), got {x!r}")
     w = _neg_log_cdf(p, x)
@@ -108,7 +108,13 @@ def zenga(p: Params, x: float) -> float:
     return 1.0 - below * -math.expm1(-w) / _tail_moment(p, 1, w, math.exp(-w) * below)
 
 
-def _zenga_array(p: Params, w: np.ndarray) -> np.ndarray:
+def _zenga_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`zenga` at each x in (0, 1)."""
+    w = _neg_log_cdf_array(p, x)
+    return _piecewise(np.isfinite(w), lambda pick: _zenga_finite(p, w[pick]), lambda _: 1.0)
+
+
+def _zenga_finite(p: Params, w: np.ndarray) -> np.ndarray:
     """`zenga` at each finite w = -ln F(x)."""
     m = 1.0 / p.beta
     below = _power_gamma_array(p, m, 1.0 - m, w)

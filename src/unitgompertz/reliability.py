@@ -14,34 +14,44 @@ Near t = 1 that difference cancels, so `distribution._tail_moment` and
 switch to the endpoint branch there; mrl = Psi / sf, which near 1 is >= 0.
 The reversed hazard r(x) = alpha*beta / x^(1+beta) is strictly decreasing
 and the inactivity time is increasing for every parameter choice (the cdf
-is log-concave); the plain hazard rises to +inf at x = 1.
+is log-concave); the plain hazard rises to +inf at x = 1.  Where w itself
+is below the normal doubles, sf = 1 - e^-w = w, and the hazard is formed
+without alpha (`_small_w_hazard`).
+
+hazard, reversed_hazard, mrl and eit take their point as a float or a 1-d
+array, each array element bit-identical to the scalar call at it (see
+`distribution`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import (
+    _MIN,
     Params,
     _as_count,
+    _in_open_unit,
+    _in_unit,
     _integrated_sf,
     _integrated_sf_array,
+    _ndarray,
     _neg_log_cdf,
     _neg_log_cdf_array,
-    _points,
+    _on_points,
     _power_gamma,
     _power_gamma_array,
     _quotient,
     _tail_moment,
     _v_integral,
-    pdf,
     sf,
 )
 from .errors import DomainError
-from .specfun import _PYTHON_FLOAT, _elementwise, _exp_or_inf, _piecewise
+from .specfun import _elementwise, _exp_or_inf, _exp_or_inf_array, _piecewise
 
 
 @dataclass(frozen=True)
@@ -56,22 +66,76 @@ def hazard(p: Params, x: float) -> float:
     """Hazard rate f(x) / (1 - F(x)) on [0, 1].
 
     Tends to 0 as x -> 0 and to +inf as x -> 1; x = 1 returns math.inf
-    rather than raising, matching the limit.
+    rather than raising, matching the limit.  Where w = -ln F(x) is below
+    the normal doubles, sf = w loses digits or is 0; there alpha cancels
+    (`_small_w_hazard`).  x may be a 1-d array (README, "Command line").
     """
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(hazard, p, x, _in_unit, _hazard_array)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"hazard needs x in [0, 1], got {x!r}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return math.inf
-    return pdf(p, x) / sf(p, x)
+    w = _neg_log_cdf(p, x)
+    if w < _MIN:
+        return _small_w_hazard(p, x)
+    return math.exp(p._log_alpha_beta - w - (1.0 + p.beta) * math.log(x)) / -math.expm1(-w)
+
+
+def _small_w_hazard(p: Params, x: float) -> float:
+    """hazard at x in (0, 1) where w = alpha * expm1(-beta ln x) is below the normal doubles.
+
+    There e^-w = 1 and 1 - e^-w = w to the last bit, so f / sf is
+    x^-(1+beta) * beta / expm1(-beta ln x), free of alpha; where -beta ln x
+    is itself below the normal doubles, its beta -> 0 limit x^-(1+beta) / -ln x.
+    """
+    log_x = math.log(x)
+    t = -p.beta * log_x
+    scale = p.beta / math.expm1(t) if t >= _MIN else -1.0 / log_x
+    return _exp_or_inf(-(1.0 + p.beta) * log_x, scale)
+
+
+def _hazard_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`hazard` at each x in [0, 1]."""
+    return _piecewise(
+        (0.0 < x) & (x < 1.0),
+        lambda pick: _hazard_inside(p, x[pick]),
+        lambda pick: np.where(x[pick] == 0.0, 0.0, math.inf),
+    )
+
+
+def _hazard_inside(p: Params, x: np.ndarray) -> np.ndarray:
+    """`hazard` at each x in (0, 1)."""
+    log_x = _elementwise(math.log, x)
+    w = _neg_log_cdf_array(p, x, log_x)
+
+    def normal(pick):
+        log_f = p._log_alpha_beta - w[pick] - (1.0 + p.beta) * log_x[pick]
+        return _elementwise(math.exp, log_f) / -_elementwise(math.expm1, -w[pick])
+
+    return _piecewise(
+        w >= _MIN, normal, lambda pick: _elementwise(functools.partial(_small_w_hazard, p), x[pick])
+    )
 
 
 def reversed_hazard(p: Params, x: float) -> float:
-    """Reversed hazard rate f(x) / F(x) = alpha * beta / x^(1 + beta)."""
+    """Reversed hazard rate f(x) / F(x) = alpha * beta / x^(1 + beta).
+
+    x may be a 1-d array (README, "Command line").
+    """
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(reversed_hazard, p, x, _in_open_unit, _reversed_hazard_array)
     if not 0.0 < x <= 1.0:
         raise DomainError(f"reversed hazard needs x in (0, 1], got {x!r}")
-    return _exp_or_inf(math.log(p.alpha * p.beta) - (1.0 + p.beta) * math.log(x))
+    return _exp_or_inf(p._log_alpha_beta - (1.0 + p.beta) * math.log(x))
+
+
+def _reversed_hazard_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`reversed_hazard` at each x in (0, 1]."""
+    arg = p._log_alpha_beta - (1.0 + p.beta) * _elementwise(math.log, x)
+    return _exp_or_inf_array(arg, np.ones(len(x)))
 
 
 def partial_expectation(p: Params, n: int, t: float) -> float:
@@ -101,10 +165,8 @@ def mrl(p: Params, t: float) -> float:
     integral of sf over (t, 1); near 1, Psi comes from the endpoint branch
     and is positive term by term.  t may be a 1-d array (README, "Command line").
     """
-    if isinstance(t, np.ndarray):
-        t = _points(mrl, p, t, lambda t: (0.0 <= t) & (t <= 1.0))
-        with np.errstate(**_PYTHON_FLOAT):
-            return _piecewise(t == 1.0, lambda _: 0.0, lambda pick: _mrl_array(p, t[pick]))
+    if type(t) is not float and isinstance(t, _ndarray):
+        return _on_points(mrl, p, t, _in_unit, _mrl_array)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"mrl needs t in [0, 1], got {t!r}")
     if t == 1.0:
@@ -114,6 +176,11 @@ def mrl(p: Params, t: float) -> float:
 
 
 def _mrl_array(p: Params, t: np.ndarray) -> np.ndarray:
+    """`mrl` at each t in [0, 1]."""
+    return _piecewise(t == 1.0, lambda _: 0.0, lambda pick: _mrl_below_one(p, t[pick]))
+
+
+def _mrl_below_one(p: Params, t: np.ndarray) -> np.ndarray:
     """`mrl` at each t in [0, 1)."""
     w = _neg_log_cdf_array(p, t)
     return _quotient(_integrated_sf_array(p, t, w), -_elementwise(math.expm1, -w))
@@ -126,21 +193,24 @@ def eit(p: Params, x: float) -> float:
     z = alpha + w, evaluated in scaled form; eit(1) equals 1 - mean.
     x may be a 1-d array (README, "Command line").
     """
-    if isinstance(x, np.ndarray):
-        x = _points(eit, p, x, lambda x: (0.0 < x) & (x <= 1.0))
-        with np.errstate(**_PYTHON_FLOAT):
-            w = _neg_log_cdf_array(p, x)
-            return _piecewise(
-                np.isfinite(w),
-                lambda pick: _power_gamma_array(p, 1.0 / p.beta, -1.0 / p.beta, w[pick]) / p.beta,
-                lambda _: 0.0,
-            )
+    if type(x) is not float and isinstance(x, _ndarray):
+        return _on_points(eit, p, x, _in_open_unit, _eit_array)
     if not 0.0 < x <= 1.0:
         raise DomainError(f"eit needs x in (0, 1], got {x!r}")
     w = _neg_log_cdf(p, x)
     if not math.isfinite(w):
         return 0.0
     return _power_gamma(p, 1.0 / p.beta, -1.0 / p.beta, w) / p.beta
+
+
+def _eit_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`eit` at each x in (0, 1]."""
+    w = _neg_log_cdf_array(p, x)
+    return _piecewise(
+        np.isfinite(w),
+        lambda pick: _power_gamma_array(p, 1.0 / p.beta, -1.0 / p.beta, w[pick]) / p.beta,
+        lambda _: 0.0,
+    )
 
 
 def stress_strength(pair: StressStrengthPair) -> float:

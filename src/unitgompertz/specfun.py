@@ -36,9 +36,11 @@ Its array form runs each loop above as numpy arithmetic over all elements at
 once, driven by `_converge`, which advances the state arrays and retires each
 element at the iteration where its scalar loop would stop.  Only +, -, *, /,
 abs and comparisons act on arrays; every log, exp, expm1, power and gamma
-runs element by element through `math` (`_elementwise`), so each element is
-bit-identical to the scalar call, and numpy's error state is set to Python's
-float semantics (`_PYTHON_FLOAT`) for the duration.
+runs element by element through `math` or the builtin `pow` (`_elementwise`,
+`_pow`), so each element is bit-identical to the scalar call, and numpy's
+error state is set to Python's float semantics (`_PYTHON_FLOAT`) for the
+duration.  Where an exp or a power may overflow, and the scalar form would
+catch that, those elements take the scalar form.
 
 The tail integral of e^(-t) (ln t)^2 over (a, inf) is gamma^2 + pi^2/6 minus
 the termwise-integrated power series of e^(-t) for small a, and the second
@@ -47,6 +49,8 @@ s-derivative of the Legendre continued fraction at s = 1 above that.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -255,6 +259,21 @@ def _elementwise(f, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x**y at each element of the 1-d array x, for one float y, as Python floats."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(y)), float, len(x))
+
+
+def _exp_or_inf_array(arg: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`_exp_or_inf` at each element of arg and scale: math.exp where it
+    cannot overflow, the scalar helper elsewhere."""
+    return _piecewise(
+        arg > 709.0,
+        lambda pick: _elementwise(_exp_or_inf, arg[pick], scale[pick]),
+        lambda pick: _elementwise(math.exp, arg[pick]) * scale[pick],
+    )
+
+
 def _piecewise(mask: np.ndarray, when, otherwise) -> np.ndarray:
     """when(mask) where mask holds and otherwise(~mask) elsewhere; each is
     called with its selection only if that selection is not empty."""
@@ -331,7 +350,7 @@ def _lower_series_array(s: float, x: np.ndarray) -> np.ndarray:
     total = _converge(step, (first, first, x), range(_MAX_ITER),
                       lambda j: OracleError(f"series for lower incomplete gamma({s}, {float(x[j])})"
                                             " did not converge"))
-    return _elementwise(lambda v, t: t * math.exp(s * math.log(v) - v), x, total)
+    return total * _elementwise(math.exp, s * _elementwise(math.log, x) - x)
 
 
 def _small_x_array(s: float, x: np.ndarray) -> np.ndarray:
@@ -347,28 +366,27 @@ def _small_x_array(s: float, x: np.ndarray) -> np.ndarray:
     total = _converge(step, (np.zeros(len(x)), np.ones(len(x)), x), range(1, _MAX_ITER),
                       lambda j: OracleError(f"series for Gamma({a}, {float(x[j])}) did not converge"))
     if abs(a) >= _RGAMMA_SEAM:
-        head = math.gamma(a)
-        g = _elementwise(lambda v, t: head - v**a * (1.0 / a + t), x, total)
+        g = math.gamma(a) - _pow(x, a) * (1.0 / a + total)
     elif a == 0.0:
-        g = _elementwise(lambda v, t: -_RGAMMA_Q[0] - math.log(v) - t, x, total)
+        g = -_RGAMMA_Q[0] - _elementwise(math.log, x) - total
     else:
-        head = _rgamma_head(a)
-        g = _elementwise(lambda v, t: head - math.expm1(a * math.log(v)) / a - v**a * t, x, total)
+        log_x = _elementwise(math.log, x)
+        g = _rgamma_head(a) - _elementwise(math.expm1, a * log_x) / a - _pow(x, a) * total
     if a == s:
         return g
-    r = _elementwise(lambda v, gv: math.exp(v) * v**-a * gv, x, g)
+    r = _elementwise(math.exp, x) * _pow(x, -a) * g
     for _ in range(round(a - s)):
         a -= 1.0
         r = (x * r - 1.0) / a
 
-    def scale(v, rv):
-        try:
-            half = v ** (0.5 * s)
-        except OverflowError:
-            return math.inf
-        return half * (half * math.exp(-v) * rv)
+    def unscale(pick):
+        half = _pow(x[pick], 0.5 * s)
+        return half * (half * _elementwise(math.exp, -x[pick]) * r[pick])
 
-    return _elementwise(scale, x, r)
+    # The scalar form wherever x^(s/2) may overflow: s < -1/2 here, and
+    # x < e^(1418/s) is (s/2) ln x > 709.
+    return _piecewise(x < math.exp(1418.0 / s),
+                      lambda pick: _elementwise(functools.partial(_small_x, s), x[pick]), unscale)
 
 
 def _scaled_array(s: float, x: np.ndarray) -> np.ndarray:
@@ -381,18 +399,16 @@ def _scaled_array(s: float, x: np.ndarray) -> np.ndarray:
     with np.errstate(**_PYTHON_FLOAT):
         return _piecewise(
             ((x >= 1.0) & (x >= s + 1.0)) | (s < -_MAX_ITER),
-            lambda pick: _elementwise(lambda v, h: _exp_or_inf(s * math.log(v), h),
-                                      x[pick], _cf_factor_array(s, x[pick])),
+            lambda pick: _exp_or_inf_array(s * _elementwise(math.log, x[pick]),
+                                           _cf_factor_array(s, x[pick])),
             lambda pick: _below_cf_array(s, x[pick]),
         )
 
 
 def _below_cf_array(s: float, x: np.ndarray) -> np.ndarray:
     """e^x * Gamma(s; x) at each x < max(1, s + 1), as the scalar form gives it."""
-    if s >= 0.5:
-        head = math.gamma(s)
-        return _elementwise(lambda v, low: math.exp(v) * (head - low), x, _lower_series_array(s, x))
-    return _elementwise(lambda v, g: math.exp(v) * g, x, _small_x_array(s, x))
+    g = math.gamma(s) - _lower_series_array(s, x) if s >= 0.5 else _small_x_array(s, x)
+    return _elementwise(math.exp, x) * g
 
 
 def exp_integral_e1(x: float) -> float:

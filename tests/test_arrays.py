@@ -1,11 +1,14 @@
 """The array forms: each element bit-identical to the scalar call at it.
 
-mrl, eit, zenga, lorenz and bonferroni accept a 1-d float array as their
-point argument, and upper_inc_gamma_scaled as its lower limit.  The scalar
-loop is the reference: values are compared by repr, which also tells -0.0
-from 0.0, under numpy's strictest error state and with warnings as errors.
+The twelve curve functions (pdf, log_pdf, cdf, sf, quantile, hazard,
+reversed_hazard, mrl, eit, zenga, lorenz, bonferroni) and log_cdf accept a
+1-d float array as their point argument, and upper_inc_gamma_scaled as its
+lower limit.  The scalar loop is the reference: values are compared by
+repr, which also tells -0.0 from 0.0, under numpy's strictest error state
+and with warnings as errors.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -15,9 +18,19 @@ from unitgompertz import (
     DomainError,
     Params,
     bonferroni,
+    cdf,
+    distribution,
     eit,
+    hazard,
+    log_cdf,
+    log_pdf,
     lorenz,
     mrl,
+    pdf,
+    quantile,
+    reliability,
+    reversed_hazard,
+    sf,
     specfun,
     zenga,
 )
@@ -44,7 +57,23 @@ PARAMS = [
 # gives w = 0, where the kernel is the per-law head.
 INTERIOR = [1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.97, 0.999,
             1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 2.0**-53]
+# The closed forms also take the edges of the doubles.  At 5e-324 and
+# 7e-309, -beta ln x passes 709, where `_neg_log_cdf_array` hands over to
+# the scalar helper (at beta = 1, expm1(709.55) is still finite); at (2, 10)
+# w overflows to inf and reversed_hazard's exponent passes 709.
+EDGES = [5e-324, 7e-309, *INTERIOR, 1.0]
+# alpha * beta, and w = -ln F(x) at 0.5 and above, below the normal doubles,
+# where hazard is alpha-free and ln(alpha beta) is ln alpha + ln beta.
+TINY = [(1e-300, 1e-10), (1e-310, 1e-10), (5e-324, 5e-324), (1e-300, 1e-300)]
 DOMAIN = {
+    log_cdf: [0.0, *EDGES],
+    log_pdf: [0.0, *EDGES],
+    pdf: [0.0, *EDGES],
+    cdf: [0.0, *EDGES],
+    sf: [0.0, *EDGES],
+    quantile: EDGES,
+    hazard: [0.0, *EDGES],
+    reversed_hazard: EDGES,
     mrl: [0.0, *INTERIOR, 1.0],
     eit: [*INTERIOR, 1.0],
     zenga: INTERIOR,
@@ -52,6 +81,7 @@ DOMAIN = {
     bonferroni: [*INTERIOR, 1.0],
 }
 FNS = list(DOMAIN)
+CLOSED_FORMS = FNS[:8]
 
 
 def strict(f, *args):
@@ -65,12 +95,24 @@ def reprs(values):
     return [repr(v) for v in values]
 
 
+def scalar_loop(f, p, xs):
+    """[f(p, x) for x in xs], or the exception it raises."""
+    try:
+        return [f(p, x) for x in xs]
+    except ArithmeticError as exc:  # e.g. pdf's OverflowError where f passes the doubles
+        return exc
+
+
 @pytest.mark.parametrize("f", FNS, ids=lambda f: f.__name__)
 def test_curve_array_form_is_the_scalar_loop(f):
     xs = DOMAIN[f]
-    for a, b in PARAMS:
+    for a, b in PARAMS + (TINY if f in CLOSED_FORMS else []):
         p = Params(a, b)
-        want = [f(p, x) for x in xs]
+        want = scalar_loop(f, p, xs)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                strict(f, p, np.array(xs))
+            continue
         got = strict(f, p, np.array(xs))
         assert reprs(got.tolist()) == reprs(want), (a, b)
 
@@ -105,6 +147,20 @@ def test_scaled_gamma_array_form_rejects_what_the_scalar_form_rejects():
 def test_array_forms_take_one_dimension_only(f):
     with pytest.raises(DomainError, match="1-d array"):
         f(Params(1.0, 1.0), np.full((2, 2), 0.5))
+
+
+def test_scalar_calls_reach_no_other_public_function(monkeypatch):
+    p = Params(1.3, 2.2)
+    want = [f(p, 0.4) for f in (pdf, cdf, sf, hazard)]
+
+    def public(*args):
+        raise AssertionError("a scalar call went through a public function")
+
+    for module in (distribution, reliability):
+        for name in ("log_pdf", "log_cdf", "pdf", "sf"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, public)
+    assert [f(p, 0.4) for f in (pdf, cdf, sf, hazard)] == want
 
 
 def test_converge_retires_each_element_where_its_loop_stops():

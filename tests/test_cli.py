@@ -67,6 +67,21 @@ class TestEval:
         assert code == 2
         assert "--x" in err
 
+    def test_hazard_where_w_is_subnormal(self, capsys):
+        # w = 1e-310 * expm1(1e-19) is subnormal; the hazard is free of alpha there.
+        code, out, err = run(capsys, "eval", "--fn", "hazard", "--alpha", "1e-310",
+                             "--beta", "1e-10", "--x", "0.999999999")
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(1000000028.7819323, rel=1e-13)
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, "eval", "--fn", "pdf", "--alpha", "1", "--beta", "1", "--x", "0.5")
+        assert (code, out) == (0, f"{4.0 * math.exp(-1.0):.15g}\n")
+        code, _, err = run(capsys, "eval", "--fn", "pdf", "--alpha", "1", "--beta", "1")
+        assert code == 2
+        assert "requires --x" in err
+
     def test_help_enumerates_every_function(self):
         help_text = build_parser().format_help()
         eval_help = [a for a in build_parser()._subparsers._group_actions[0].choices.items()]

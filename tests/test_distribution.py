@@ -55,6 +55,12 @@ class TestLogPdf:
         assert log_pdf(p11, 1.0) == 0.0
         assert log_pdf(Params(3.0, 2.0), 1.0) == pytest.approx(math.log(6.0), rel=1e-14)
 
+    def test_alpha_beta_below_the_doubles(self):
+        # ln f(1/2) = ln(alpha beta) + ln 2 - w, w = 1e-200 * expm1(1e-200 ln 2).
+        got = log_pdf(Params(1e-200, 1e-200), 0.5)
+        assert got == pytest.approx(-400.0 * math.log(10.0) + math.log(2.0), rel=1e-15)
+        assert pdf(Params(1e-200, 1e-200), 0.5) == 0.0  # 2e-400 underflows
+
     def test_deep_tail_stays_finite_in_log_space(self):
         p = Params(1.0, 2.0)
         got = log_pdf(p, 1e-6)

@@ -49,12 +49,22 @@ def test_curve_pays_the_head_once(tmp_path, gamma_calls, fn):
     assert len(gamma_calls) <= 1000
 
 
-@pytest.mark.parametrize("fn", ["mrl", "lorenz", "zenga", "eit", "bonferroni"])
-def test_curve_makes_one_array_call(tmp_path, gamma_calls, fn):
-    # The head, then one call with the whole grid as an array.
+@pytest.mark.parametrize("fn", [fn for fn, (*_, window) in cli.REGISTRY.items() if window])
+def test_curve_makes_one_array_call(tmp_path, gamma_calls, monkeypatch, fn):
+    # One call of the curve's function with the whole grid as an array; in
+    # it, at most the head and one incomplete-gamma call for every point.
+    module, name, _, _ = cli.REGISTRY[fn]
+    real, calls = getattr(module, name), []
+
+    def counted(p, x):
+        calls.append(x)
+        return real(p, x)
+
+    monkeypatch.setattr(module, name, counted)
     code = cli.main(["curve", "--fn", fn, "--alpha", "1.5", "--beta", "2",
                      "--grid", "0.001:0.999:999", "--out", str(tmp_path / "c.csv")])
     assert code == 0
+    assert [x.shape for x in calls] == [(999,)]
     assert len(gamma_calls) <= 2
 
 

@@ -44,6 +44,26 @@ class TestHazard:
             with pytest.raises(DomainError):
                 hazard(p11, bad)
 
+    # 80-digit mpmath values of f/sf.  Where alpha * beta and w = -ln F(x)
+    # both underflow, every law with beta <= 1e-300 has the same hazard to
+    # the last digit: x^-(1+beta) / -ln x, the beta -> 0 limit.
+    TINY_LIMIT = {0.5: 2.8853900817779268, 1.0 - 1e-9: 1000000028.7819323,
+                  1.0 - 2.0**-53: 9007199254740992.5}
+    TINY_BETA = [((1e-310, 1e-10, 0.5), 2.8853900818779268),
+                 ((1e-300, 1e-10, 1.0 - 1e-9), 1000000028.7819323),
+                 ((1e-300, 1e-10, 1.0 - 2.0**-53), 9007199254740992.5)]
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-300])
+    @pytest.mark.parametrize("beta", [5e-324, 1e-310, 1e-300])
+    def test_where_w_leaves_the_normal_doubles(self, alpha, beta):
+        for x, want in self.TINY_LIMIT.items():
+            assert hazard(Params(alpha, beta), x) == pytest.approx(want, rel=1e-13), x
+
+    @pytest.mark.parametrize("args, want", TINY_BETA)
+    def test_where_w_is_subnormal(self, args, want):
+        a, b, x = args
+        assert hazard(Params(a, b), x) == pytest.approx(want, rel=1e-13)
+
     def test_increasing_near_the_upper_end(self):
         for a in (0.25, 1.0, 2.0):
             for b in (1.0, 2.0, 3.0):
@@ -65,6 +85,11 @@ class TestReversedHazard:
         got = reversed_hazard(Params(1.0, 1.0), x)
         assert math.isfinite(got)
         assert abs(got - want) <= 1e-15 * want
+
+    def test_where_alpha_beta_underflows(self):
+        # alpha * beta = 1e-400 is below the doubles; ln alpha + ln beta is not.
+        got = reversed_hazard(Params(1e-200, 1e-200), 1e-300)
+        assert got == pytest.approx(1e-100, rel=1e-13)
 
     def test_is_pdf_over_cdf(self):
         p = Params(2.0, 3.0)
