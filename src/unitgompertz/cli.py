@@ -15,7 +15,8 @@ Exit codes: 0 on success, 2 on a domain error (message to stderr), 3 when
 verification fails.  CSV numbers use the shortest round-trip decimal form,
 so files are byte-identical across runs for identical flags and seed.
 Every `curve` function gets the whole grid in one call, as a 1-d array.
-`build_parser` builds the parser once per process, on first use.
+`main` builds its parser once per process, on first use (`_parser`);
+`build_parser` returns a new one at each call.
 """
 
 from __future__ import annotations
@@ -233,7 +234,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitgompertz",
@@ -284,8 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use; parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except DomainError as exc:

@@ -29,10 +29,9 @@ they are instead summed as Taylor series in v over (0, w) by `_endpoint_mean`
 log_cdf, log_pdf, pdf, cdf, sf and quantile take x as a float or a 1-d
 array.  A scalar call tests the type once and then calls only private
 helpers; ln(alpha * beta) is formed once per Params, as ln alpha + ln beta
-where the product leaves the normal doubles.  An array call returns each
-element bit-identical to the scalar call: its logs, exps, expm1s and powers
-run through `math` and the builtin `pow`, and only +, -, *, / and
-comparisons through numpy.
+where the product leaves the normal doubles.  An array call is the scalar
+loop itself (`_each_point`): a numpy form of these closed forms measured
+no faster end to end (ROADMAP, item 6).
 
 Each of `_neg_log_cdf`, `_power_gamma`, `_lower_moment`, `_endpoint_mean`,
 `_tail_moment` and `_integrated_sf` has an `_array` counterpart that takes a
@@ -197,7 +196,7 @@ def _outside_unit(x) -> DomainError:
 def log_cdf(p: Params, x: float) -> float:
     """log F(x) = -w; exact even when F underflows or x is next to 1."""
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(log_cdf, p, x, _in_unit, lambda p, x: -_neg_log_cdf_array(p, x))
+        return _each_point(log_cdf, p, x)
     if not 0.0 <= x <= 1.0:
         raise _outside_unit(x)
     return -_neg_log_cdf(p, x)
@@ -210,7 +209,7 @@ def log_pdf(p: Params, x: float) -> float:
     outside [0, 1].
     """
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(log_pdf, p, x, _in_unit, _log_pdf_array)
+        return _each_point(log_pdf, p, x)
     if not 0.0 <= x <= 1.0:
         raise _outside_unit(x)
     if x == 0.0:
@@ -221,7 +220,7 @@ def log_pdf(p: Params, x: float) -> float:
 def pdf(p: Params, x: float) -> float:
     """Density f(x) on [0, 1]; f(0) = 0 and f(1) = alpha * beta exactly."""
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(pdf, p, x, _in_unit, _pdf_array)
+        return _each_point(pdf, p, x)
     if x == 1.0:
         return p.alpha * p.beta
     if not 0.0 <= x <= 1.0:
@@ -234,8 +233,7 @@ def pdf(p: Params, x: float) -> float:
 def cdf(p: Params, x: float) -> float:
     """Distribution function F(x); 0 at x = 0 and 1 at x = 1."""
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(cdf, p, x, _in_unit,
-                          lambda p, x: specfun._elementwise(math.exp, -_neg_log_cdf_array(p, x)))
+        return _each_point(cdf, p, x)
     if not 0.0 <= x <= 1.0:
         raise _outside_unit(x)
     return math.exp(-_neg_log_cdf(p, x))
@@ -244,8 +242,7 @@ def cdf(p: Params, x: float) -> float:
 def sf(p: Params, x: float) -> float:
     """Survival function 1 - F(x), via expm1 so precision survives x -> 1."""
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(sf, p, x, _in_unit,
-                          lambda p, x: -specfun._elementwise(math.expm1, -_neg_log_cdf_array(p, x)))
+        return _each_point(sf, p, x)
     if not 0.0 <= x <= 1.0:
         raise _outside_unit(x)
     return -math.expm1(-_neg_log_cdf(p, x))
@@ -254,7 +251,7 @@ def sf(p: Params, x: float) -> float:
 def quantile(p: Params, u: float) -> float:
     """Inverse cdf: x = (alpha / (alpha - ln u))^(1/beta) for u in (0, 1]."""
     if type(u) is not float and isinstance(u, _ndarray):
-        return _on_points(quantile, p, u, _in_open_unit, _quantile_array)
+        return _each_point(quantile, p, u)
     if not (0.0 < u <= 1.0):
         raise DomainError(f"quantile needs u in (0, 1], got {u!r}")
     return (p.alpha / (p.alpha - math.log(u))) ** (1.0 / p.beta)
@@ -369,6 +366,19 @@ def _integrated_sf(p: Params, t: float, w: float) -> float:
     return _tail_moment(p, 1, w) - t * -math.expm1(-w)
 
 
+def _one_d(fn, x: np.ndarray) -> np.ndarray:
+    """x as a 1-d float array, or fn's DomainError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"{fn.__name__} takes a float or a 1-d array, got a {x.ndim}-d array")
+    return x
+
+
+def _each_point(fn, p: Params, x: np.ndarray) -> np.ndarray:
+    """fn's array form as the scalar loop: fn(p, v) at each element v of x, as a float."""
+    return specfun._elementwise(functools.partial(fn, p), _one_d(fn, x))
+
+
 def _on_points(fn, p: Params, x: np.ndarray, inside, body) -> np.ndarray:
     """fn's array form: body(p, x), with numpy's arithmetic under Python's float semantics.
 
@@ -376,9 +386,7 @@ def _on_points(fn, p: Params, x: np.ndarray, inside, body) -> np.ndarray:
     first element where inside(x) is False, the elements before it are
     evaluated, then fn raises its own DomainError at it.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"{fn.__name__} takes a float or a 1-d array, got a {x.ndim}-d array")
+    x = _one_d(fn, x)
     bad = np.flatnonzero(~inside(x))
     if bad.size:
         fn(p, x[: bad[0]])
@@ -404,17 +412,10 @@ def _quotient(num: np.ndarray, den) -> np.ndarray:
     return num / den
 
 
-def _log_points(x: np.ndarray) -> np.ndarray:
-    """ln x at each element of x in [0, 1], -inf at 0."""
+def _neg_log_cdf_array(p: Params, x: np.ndarray) -> np.ndarray:
+    """`_neg_log_cdf` at each element of x in [0, 1]."""
     log_x = specfun._elementwise(math.log, np.where(x > 0.0, x, 1.0))
     log_x[x == 0.0] = -math.inf
-    return log_x
-
-
-def _neg_log_cdf_array(p: Params, x: np.ndarray, log_x: np.ndarray | None = None) -> np.ndarray:
-    """`_neg_log_cdf` at each element of x in [0, 1]; log_x is ln x if the caller has it."""
-    if log_x is None:
-        log_x = _log_points(x)
     t = -p.beta * log_x
     # The scalar helper where expm1 may overflow, x = 0 (t = inf) included.
     w = specfun._piecewise(
@@ -424,28 +425,6 @@ def _neg_log_cdf_array(p: Params, x: np.ndarray, log_x: np.ndarray | None = None
     )
     w[x == 1.0] = 0.0  # not the -0.0 of expm1(-0.0)
     return w
-
-
-def _log_pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
-    """`log_pdf` at each x in [0, 1]."""
-    log_x = _log_points(x)
-    out = p._log_alpha_beta - _neg_log_cdf_array(p, x, log_x) - (1.0 + p.beta) * log_x
-    out[x == 0.0] = -math.inf
-    return out
-
-
-def _pdf_array(p: Params, x: np.ndarray) -> np.ndarray:
-    """`pdf` at each x in [0, 1]."""
-    return specfun._piecewise(
-        x == 1.0,
-        lambda _: p.alpha * p.beta,
-        lambda pick: specfun._elementwise(math.exp, _log_pdf_array(p, x[pick])),
-    )
-
-
-def _quantile_array(p: Params, u: np.ndarray) -> np.ndarray:
-    """`quantile` at each u in (0, 1]."""
-    return specfun._pow(p.alpha / (p.alpha - specfun._elementwise(math.log, u)), 1.0 / p.beta)
 
 
 def _power_gamma_array(p: Params, m: float, s: float, w: np.ndarray) -> np.ndarray:

@@ -19,13 +19,13 @@ is below the normal doubles, sf = 1 - e^-w = w, and the hazard is formed
 without alpha (`_small_w_hazard`).
 
 hazard, reversed_hazard, mrl and eit take their point as a float or a 1-d
-array, each array element bit-identical to the scalar call at it (see
+array, each array element bit-identical to the scalar call at it; for
+hazard and reversed_hazard the array form is the scalar loop (see
 `distribution`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +35,7 @@ from .distribution import (
     _MIN,
     Params,
     _as_count,
+    _each_point,
     _in_open_unit,
     _in_unit,
     _integrated_sf,
@@ -51,7 +52,7 @@ from .distribution import (
     sf,
 )
 from .errors import DomainError
-from .specfun import _elementwise, _exp_or_inf, _exp_or_inf_array, _piecewise
+from .specfun import _elementwise, _exp_or_inf, _piecewise
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def hazard(p: Params, x: float) -> float:
     (`_small_w_hazard`).  x may be a 1-d array (README, "Command line").
     """
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(hazard, p, x, _in_unit, _hazard_array)
+        return _each_point(hazard, p, x)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"hazard needs x in [0, 1], got {x!r}")
     if x == 0.0:
@@ -97,45 +98,16 @@ def _small_w_hazard(p: Params, x: float) -> float:
     return _exp_or_inf(-(1.0 + p.beta) * log_x, scale)
 
 
-def _hazard_array(p: Params, x: np.ndarray) -> np.ndarray:
-    """`hazard` at each x in [0, 1]."""
-    return _piecewise(
-        (0.0 < x) & (x < 1.0),
-        lambda pick: _hazard_inside(p, x[pick]),
-        lambda pick: np.where(x[pick] == 0.0, 0.0, math.inf),
-    )
-
-
-def _hazard_inside(p: Params, x: np.ndarray) -> np.ndarray:
-    """`hazard` at each x in (0, 1)."""
-    log_x = _elementwise(math.log, x)
-    w = _neg_log_cdf_array(p, x, log_x)
-
-    def normal(pick):
-        log_f = p._log_alpha_beta - w[pick] - (1.0 + p.beta) * log_x[pick]
-        return _elementwise(math.exp, log_f) / -_elementwise(math.expm1, -w[pick])
-
-    return _piecewise(
-        w >= _MIN, normal, lambda pick: _elementwise(functools.partial(_small_w_hazard, p), x[pick])
-    )
-
-
 def reversed_hazard(p: Params, x: float) -> float:
     """Reversed hazard rate f(x) / F(x) = alpha * beta / x^(1 + beta).
 
     x may be a 1-d array (README, "Command line").
     """
     if type(x) is not float and isinstance(x, _ndarray):
-        return _on_points(reversed_hazard, p, x, _in_open_unit, _reversed_hazard_array)
+        return _each_point(reversed_hazard, p, x)
     if not 0.0 < x <= 1.0:
         raise DomainError(f"reversed hazard needs x in (0, 1], got {x!r}")
     return _exp_or_inf(p._log_alpha_beta - (1.0 + p.beta) * math.log(x))
-
-
-def _reversed_hazard_array(p: Params, x: np.ndarray) -> np.ndarray:
-    """`reversed_hazard` at each x in (0, 1]."""
-    arg = p._log_alpha_beta - (1.0 + p.beta) * _elementwise(math.log, x)
-    return _exp_or_inf_array(arg, np.ones(len(x)))
 
 
 def partial_expectation(p: Params, n: int, t: float) -> float:

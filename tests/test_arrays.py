@@ -58,9 +58,9 @@ PARAMS = [
 INTERIOR = [1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.97, 0.999,
             1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 2.0**-53]
 # The closed forms also take the edges of the doubles.  At 5e-324 and
-# 7e-309, -beta ln x passes 709, where `_neg_log_cdf_array` hands over to
-# the scalar helper (at beta = 1, expm1(709.55) is still finite); at (2, 10)
-# w overflows to inf and reversed_hazard's exponent passes 709.
+# 7e-309, -beta ln x passes 709, where expm1 may overflow (at beta = 1,
+# expm1(709.55) is still finite); at (2, 10) w overflows to inf and
+# reversed_hazard's exponent passes 709.
 EDGES = [5e-324, 7e-309, *INTERIOR, 1.0]
 # alpha * beta, and w = -ln F(x) at 0.5 and above, below the normal doubles,
 # where hazard is alpha-free and ln(alpha beta) is ln alpha + ln beta.
@@ -95,11 +95,11 @@ def reprs(values):
     return [repr(v) for v in values]
 
 
-def scalar_loop(f, p, xs):
-    """[f(p, x) for x in xs], or the exception it raises."""
+def scalar_or_overflow(f, p, x):
+    """f(p, x), or the OverflowError it raises."""
     try:
-        return [f(p, x) for x in xs]
-    except ArithmeticError as exc:  # e.g. pdf's OverflowError where f passes the doubles
+        return f(p, x)
+    except OverflowError as exc:
         return exc
 
 
@@ -108,13 +108,34 @@ def test_curve_array_form_is_the_scalar_loop(f):
     xs = DOMAIN[f]
     for a, b in PARAMS + (TINY if f in CLOSED_FORMS else []):
         p = Params(a, b)
-        want = scalar_loop(f, p, xs)
-        if isinstance(want, Exception):
-            with pytest.raises(type(want), match=re.escape(str(want))):
+        if f in (pdf, hazard):
+            want = [scalar_or_overflow(f, p, x) for x in xs]
+        else:
+            want = [f(p, x) for x in xs]
+        # pdf and hazard raise OverflowError at 5e-324, where ln f passes
+        # 709.78; there the array form raises the same, and the other
+        # points are compared as usual.
+        raised = [(x, v) for x, v in zip(xs, want) if isinstance(v, OverflowError)]
+        for x, exc in raised:
+            with pytest.raises(OverflowError, match=re.escape(str(exc))):
+                strict(f, p, np.array([x]))
+        if raised:
+            with pytest.raises(OverflowError):
                 strict(f, p, np.array(xs))
-            continue
-        got = strict(f, p, np.array(xs))
-        assert reprs(got.tolist()) == reprs(want), (a, b)
+        fine = [(x, v) for x, v in zip(xs, want) if not isinstance(v, OverflowError)]
+        got = strict(f, p, np.array([x for x, _ in fine]))
+        assert reprs(got.tolist()) == reprs(v for _, v in fine), (a, b)
+
+
+def test_neg_log_cdf_array_is_the_scalar_helper():
+    # What the gamma curves read every x through, at the edges too: 0.0
+    # and not -0.0 at x = 1, inf at x = 0 and where expm1 overflows.
+    xs = [0.0, *EDGES]
+    for a, b in PARAMS + TINY:
+        p = Params(a, b)
+        with np.errstate(**specfun._PYTHON_FLOAT):
+            got = distribution._neg_log_cdf_array(p, np.array(xs))
+        assert reprs(got.tolist()) == reprs(distribution._neg_log_cdf(p, x) for x in xs), (a, b)
 
 
 def test_scaled_gamma_array_form_is_the_scalar_loop():

@@ -75,7 +75,8 @@ class TestEval:
         assert float(out) == pytest.approx(1000000028.7819323, rel=1e-13)
 
     def test_parser_is_built_once_and_keeps_no_state(self, capsys):
-        assert build_parser() is build_parser()
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()  # a caller's parser is its own
         code, out, _ = run(capsys, "eval", "--fn", "pdf", "--alpha", "1", "--beta", "1", "--x", "0.5")
         assert (code, out) == (0, f"{4.0 * math.exp(-1.0):.15g}\n")
         code, _, err = run(capsys, "eval", "--fn", "pdf", "--alpha", "1", "--beta", "1")

@@ -1,5 +1,6 @@
 """The per-law head e^alpha * Gamma(s; alpha): computed once, same value cold or warm."""
 
+import numpy as np
 import pytest
 
 from unitgompertz import (
@@ -53,18 +54,20 @@ def test_curve_pays_the_head_once(tmp_path, gamma_calls, fn):
 def test_curve_makes_one_array_call(tmp_path, gamma_calls, monkeypatch, fn):
     # One call of the curve's function with the whole grid as an array; in
     # it, at most the head and one incomplete-gamma call for every point.
+    # (The closed forms' array form is the scalar loop, whose float calls
+    # come back through the patched name.)
     module, name, _, _ = cli.REGISTRY[fn]
     real, calls = getattr(module, name), []
 
     def counted(p, x):
-        calls.append(x)
+        calls.append(np.shape(x))
         return real(p, x)
 
     monkeypatch.setattr(module, name, counted)
     code = cli.main(["curve", "--fn", fn, "--alpha", "1.5", "--beta", "2",
                      "--grid", "0.001:0.999:999", "--out", str(tmp_path / "c.csv")])
     assert code == 0
-    assert [x.shape for x in calls] == [(999,)]
+    assert [shape for shape in calls if shape] == [(999,)]
     assert len(gamma_calls) <= 2
 
 
