@@ -36,11 +36,11 @@ no faster end to end (ROADMAP, item 6).
 Each of `_neg_log_cdf`, `_power_gamma`, `_lower_moment`, `_endpoint_mean`,
 `_tail_moment` and `_integrated_sf` has an `_array` counterpart that takes a
 1-d array of points and returns each element bit-identical to the scalar
-helper: `_neg_log_cdf_array` maps expm1 over -beta ln x and hands the
-elements where it may overflow to the scalar helper, `_power_gamma_array`
-makes one array call of `specfun.upper_inc_gamma_scaled` for all points
-off the head, and the endpoint series runs under specfun's
-retire-on-convergence loop `_converge`.  These serve the array forms here
+helper: `_neg_log_cdf_array` maps expm1 over -beta ln x, or the scalar
+helper over all points if math raises at one, `_power_gamma_array` makes
+one array call of `specfun.upper_inc_gamma_scaled` for all points, whose
+element at w = 0 is the head bit for bit, and the endpoint series runs
+under specfun's retire-on-convergence loop `_converge`.  These serve the array forms here
 and in `reliability` and `inequality`; `_on_points` checks their input as
 the scalar loop would.
 """
@@ -227,7 +227,10 @@ def pdf(p: Params, x: float) -> float:
         raise _outside_unit(x)
     if x == 0.0:
         return 0.0
-    return math.exp(p._log_alpha_beta - _neg_log_cdf(p, x) - (1.0 + p.beta) * math.log(x))
+    try:
+        return math.exp(p._log_alpha_beta - _neg_log_cdf(p, x) - (1.0 + p.beta) * math.log(x))
+    except OverflowError:  # ln f past 709.78: f is past the doubles
+        return math.inf
 
 
 def cdf(p: Params, x: float) -> float:
@@ -366,17 +369,9 @@ def _integrated_sf(p: Params, t: float, w: float) -> float:
     return _tail_moment(p, 1, w) - t * -math.expm1(-w)
 
 
-def _one_d(fn, x: np.ndarray) -> np.ndarray:
-    """x as a 1-d float array, or fn's DomainError."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"{fn.__name__} takes a float or a 1-d array, got a {x.ndim}-d array")
-    return x
-
-
 def _each_point(fn, p: Params, x: np.ndarray) -> np.ndarray:
     """fn's array form as the scalar loop: fn(p, v) at each element v of x, as a float."""
-    return specfun._elementwise(functools.partial(fn, p), _one_d(fn, x))
+    return specfun._elementwise(functools.partial(fn, p), specfun._one_d(fn, x))
 
 
 def _on_points(fn, p: Params, x: np.ndarray, inside, body) -> np.ndarray:
@@ -386,7 +381,7 @@ def _on_points(fn, p: Params, x: np.ndarray, inside, body) -> np.ndarray:
     first element where inside(x) is False, the elements before it are
     evaluated, then fn raises its own DomainError at it.
     """
-    x = _one_d(fn, x)
+    x = specfun._one_d(fn, x)
     bad = np.flatnonzero(~inside(x))
     if bad.size:
         fn(p, x[: bad[0]])
@@ -413,16 +408,13 @@ def _quotient(num: np.ndarray, den) -> np.ndarray:
 
 
 def _neg_log_cdf_array(p: Params, x: np.ndarray) -> np.ndarray:
-    """`_neg_log_cdf` at each element of x in [0, 1]."""
-    log_x = specfun._elementwise(math.log, np.where(x > 0.0, x, 1.0))
-    log_x[x == 0.0] = -math.inf
-    t = -p.beta * log_x
-    # The scalar helper where expm1 may overflow, x = 0 (t = inf) included.
-    w = specfun._piecewise(
-        t > 709.0,
-        lambda pick: specfun._elementwise(functools.partial(_neg_log_cdf, p), x[pick]),
-        lambda pick: p.alpha * specfun._elementwise(math.expm1, t[pick]),
-    )
+    """`_neg_log_cdf` at each element of x in [0, 1]: alpha * expm1(-beta ln x), or
+    the scalar helper at all if math raises at one (ln 0, or expm1 past the doubles)."""
+    try:
+        t = -p.beta * specfun._elementwise(math.log, x)
+        w = p.alpha * specfun._elementwise(math.expm1, t)
+    except (OverflowError, ValueError):
+        return specfun._elementwise(functools.partial(_neg_log_cdf, p), x)
     w[x == 1.0] = 0.0  # not the -0.0 of expm1(-0.0)
     return w
 
@@ -432,13 +424,9 @@ def _power_gamma_array(p: Params, m: float, s: float, w: np.ndarray) -> np.ndarr
     scale = _alpha_power(p, m)
     if not sys.float_info.min <= scale < math.inf:
         return specfun._elementwise(functools.partial(_power_gamma, p, m, s), w)
-    # x by keyword: perfbench's tracer classifies a positional (s, x) by
-    # comparing x with a float, which an array cannot answer.
-    return scale * specfun._piecewise(
-        w == 0.0,
-        lambda _: _head(s, p.alpha),
-        lambda pick: specfun.upper_inc_gamma_scaled(s, x=p.alpha + w[pick]),
-    )
+    # The element at w = 0 is the head, bit for bit.  x by keyword: perfbench's
+    # tracer compares a positional x with a float, which an array cannot answer.
+    return scale * specfun.upper_inc_gamma_scaled(s, x=p.alpha + w)
 
 
 def _lower_moment_array(p: Params, n: int, w: np.ndarray) -> np.ndarray:
@@ -527,7 +515,8 @@ def log_pdf_second_derivative(p: Params, x: float) -> float:
 
 def log_concavity_bound(p: Params) -> float:
     """Upper end of the log-concavity region: min((alpha*beta)^(1/beta), 1)."""
-    return min((p.alpha * p.beta) ** (1.0 / p.beta), 1.0)
+    base = p.alpha * p.beta  # at or above 1, so is the power, which may overflow
+    return 1.0 if base >= 1.0 else base ** (1.0 / p.beta)
 
 
 def mode(p: Params) -> float:
@@ -537,5 +526,5 @@ def mode(p: Params) -> float:
     which case the density is increasing throughout and the mode is the
     endpoint x = 1.
     """
-    star = (p.alpha * p.beta / (1.0 + p.beta)) ** (1.0 / p.beta)
-    return min(star, 1.0)
+    base = p.alpha * p.beta / (1.0 + p.beta)  # as in log_concavity_bound
+    return 1.0 if base >= 1.0 else base ** (1.0 / p.beta)

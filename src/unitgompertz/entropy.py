@@ -55,7 +55,7 @@ def renyi_entropy(p: Params, gamma: float) -> float:
 def shannon_entropy(p: Params) -> float:
     """Shannon entropy E[-ln f(X)] in closed form."""
     a, b = p.alpha, p.beta
-    return 1.0 - math.log(a * b) - (1.0 + b) / b * _head(0.0, a)
+    return 1.0 - p._log_alpha_beta - (1.0 + b) / b * _head(0.0, a)
 
 
 def song_measure(p: Params) -> float:

@@ -82,7 +82,10 @@ def hazard(p: Params, x: float) -> float:
     w = _neg_log_cdf(p, x)
     if w < _MIN:
         return _small_w_hazard(p, x)
-    return math.exp(p._log_alpha_beta - w - (1.0 + p.beta) * math.log(x)) / -math.expm1(-w)
+    try:
+        return math.exp(p._log_alpha_beta - w - (1.0 + p.beta) * math.log(x)) / -math.expm1(-w)
+    except OverflowError:  # f past the doubles, and sf <= 1
+        return math.inf
 
 
 def _small_w_hazard(p: Params, x: float) -> float:

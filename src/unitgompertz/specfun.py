@@ -39,8 +39,9 @@ abs and comparisons act on arrays; every log, exp, expm1, power and gamma
 runs element by element through `math` or the builtin `pow` (`_elementwise`,
 `_pow`), so each element is bit-identical to the scalar call, and numpy's
 error state is set to Python's float semantics (`_PYTHON_FLOAT`) for the
-duration.  Where an exp or a power may overflow, and the scalar form would
-catch that, those elements take the scalar form.
+duration.  Where the scalar form catches an overflowing exp or power, the
+array form maps `math` over all elements and, if it raises at one, maps the
+scalar helper over all instead: it states no overflow threshold of its own.
 
 The tail integral of e^(-t) (ln t)^2 over (a, inf) is gamma^2 + pi^2/6 minus
 the termwise-integrated power series of e^(-t) for small a, and the second
@@ -131,10 +132,13 @@ def _lower_series(s: float, x: float) -> float:
     raise OracleError(f"series for lower incomplete gamma({s}, {x}) did not converge")
 
 
-def _by_continued_fraction(s: float, x: float) -> bool:
-    """Route to the Legendre continued fraction: x >= max(1, s + 1), or -s past
-    _MAX_ITER, where it converges in a few terms and the recurrence would not."""
-    return (x >= 1.0 and x >= s + 1.0) or s < -_MAX_ITER
+def _cf_from(s: float) -> float:
+    """Gamma(s; x) takes the Legendre continued fraction at x >= this: max(1, s + 1),
+    or 0 once -s passes _MAX_ITER, where it converges in a few terms and the
+    recurrence would not.  Every scalar and array route reads it."""
+    if s < -_MAX_ITER:
+        return 0.0
+    return 1.0 if s < 0.0 else s + 1.0  # max() would cost more than this function
 
 
 def _seed(s: float, x: float) -> tuple[float, float]:
@@ -206,7 +210,7 @@ def _tail_ratio(s: float, x: float) -> float:
     product alpha^m x^s that does not, or ln Gamma(s; x), can be formed
     from it instead.
     """
-    if _by_continued_fraction(s, x):
+    if x >= _cf_from(s):
         return _cf_factor(s, x)
     if s >= 0.5:  # one exponential: x^-s alone may underflow where the ratio does not
         return _exp_or_inf(x - s * math.log(x), upper_inc_gamma(s, x))
@@ -221,7 +225,7 @@ def upper_inc_gamma(s: float, x: float) -> float:
     smallest subnormal double.
     """
     _check_args(s, x)
-    if _by_continued_fraction(s, x):
+    if x >= _cf_from(s):
         return _exp_or_inf(s * math.log(x) - x, _cf_factor(s, x))
     if s >= 0.5:
         return math.gamma(s) - _lower_series(s, x)
@@ -243,7 +247,7 @@ def upper_inc_gamma_scaled(s: float, x: float) -> float:
     if isinstance(x, np.ndarray):
         return _scaled_array(s, x)
     _check_args(s, x)
-    if _by_continued_fraction(s, x):
+    if x >= _cf_from(s):
         return _exp_or_inf(s * math.log(x), _cf_factor(s, x))
     # x < 1 here, so the e^x factor is harmless.
     return math.exp(x) * upper_inc_gamma(s, x)
@@ -264,14 +268,21 @@ def _pow(x: np.ndarray, y: float) -> np.ndarray:
     return np.fromiter(map(pow, x.tolist(), itertools.repeat(y)), float, len(x))
 
 
+def _one_d(fn, x) -> np.ndarray:
+    """x as a 1-d float array, or fn's DomainError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"{fn.__name__} takes a float or a 1-d array, got a {x.ndim}-d array")
+    return x
+
+
 def _exp_or_inf_array(arg: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`_exp_or_inf` at each element of arg and scale: math.exp where it
-    cannot overflow, the scalar helper elsewhere."""
-    return _piecewise(
-        arg > 709.0,
-        lambda pick: _elementwise(_exp_or_inf, arg[pick], scale[pick]),
-        lambda pick: _elementwise(math.exp, arg[pick]) * scale[pick],
-    )
+    """`_exp_or_inf` at each element of arg and scale: math.exp, or the scalar
+    helper at every element if math.exp overflows at one."""
+    try:
+        return _elementwise(math.exp, arg) * scale
+    except OverflowError:
+        return _elementwise(_exp_or_inf, arg, scale)
 
 
 def _piecewise(mask: np.ndarray, when, otherwise) -> np.ndarray:
@@ -374,31 +385,25 @@ def _small_x_array(s: float, x: np.ndarray) -> np.ndarray:
         g = _rgamma_head(a) - _elementwise(math.expm1, a * log_x) / a - _pow(x, a) * total
     if a == s:
         return g
+    try:
+        half = _pow(x, 0.5 * s)
+    except OverflowError:  # at one element: the scalar form, which saturates, at all
+        return _elementwise(functools.partial(_small_x, s), x)
     r = _elementwise(math.exp, x) * _pow(x, -a) * g
     for _ in range(round(a - s)):
         a -= 1.0
         r = (x * r - 1.0) / a
-
-    def unscale(pick):
-        half = _pow(x[pick], 0.5 * s)
-        return half * (half * _elementwise(math.exp, -x[pick]) * r[pick])
-
-    # The scalar form wherever x^(s/2) may overflow: s < -1/2 here, and
-    # x < e^(1418/s) is (s/2) ln x > 709.
-    return _piecewise(x < math.exp(1418.0 / s),
-                      lambda pick: _elementwise(functools.partial(_small_x, s), x[pick]), unscale)
+    return half * (half * _elementwise(math.exp, -x) * r)
 
 
 def _scaled_array(s: float, x: np.ndarray) -> np.ndarray:
     """`upper_inc_gamma_scaled` at each element of the 1-d array x."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"lower limit must be a float or a 1-d array, got a {x.ndim}-d array")
+    x = _one_d(upper_inc_gamma_scaled, x)
     bad = np.flatnonzero(~(np.isfinite(x) & (x > 0.0)))
     _check_args(s, float(x[bad[0]]) if bad.size else 1.0)  # s first, then the first bad x
     with np.errstate(**_PYTHON_FLOAT):
         return _piecewise(
-            ((x >= 1.0) & (x >= s + 1.0)) | (s < -_MAX_ITER),
+            x >= _cf_from(s),
             lambda pick: _exp_or_inf_array(s * _elementwise(math.log, x[pick]),
                                            _cf_factor_array(s, x[pick])),
             lambda pick: _below_cf_array(s, x[pick]),

@@ -194,7 +194,7 @@ def test_criterion_8_inequality_curves():
 def test_criterion_9_order_statistics():
     with criterion(9, "order-statistic moments vs quadrature; mixture identity"):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ug.CancellationWarning)
+            warnings.simplefilter("error")
             for p in SMALL:
                 for n in range(1, 7):
                     for j in range(1, n + 1):

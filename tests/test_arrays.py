@@ -8,7 +8,6 @@ repr, which also tells -0.0 from 0.0, under numpy's strictest error state
 and with warnings as errors.
 """
 
-import re
 import warnings
 
 import numpy as np
@@ -95,47 +94,77 @@ def reprs(values):
     return [repr(v) for v in values]
 
 
-def scalar_or_overflow(f, p, x):
-    """f(p, x), or the OverflowError it raises."""
-    try:
-        return f(p, x)
-    except OverflowError as exc:
-        return exc
-
-
 @pytest.mark.parametrize("f", FNS, ids=lambda f: f.__name__)
 def test_curve_array_form_is_the_scalar_loop(f):
     xs = DOMAIN[f]
     for a, b in PARAMS + (TINY if f in CLOSED_FORMS else []):
         p = Params(a, b)
-        if f in (pdf, hazard):
-            want = [scalar_or_overflow(f, p, x) for x in xs]
-        else:
-            want = [f(p, x) for x in xs]
-        # pdf and hazard raise OverflowError at 5e-324, where ln f passes
-        # 709.78; there the array form raises the same, and the other
-        # points are compared as usual.
-        raised = [(x, v) for x, v in zip(xs, want) if isinstance(v, OverflowError)]
-        for x, exc in raised:
-            with pytest.raises(OverflowError, match=re.escape(str(exc))):
-                strict(f, p, np.array([x]))
-        if raised:
-            with pytest.raises(OverflowError):
-                strict(f, p, np.array(xs))
-        fine = [(x, v) for x, v in zip(xs, want) if not isinstance(v, OverflowError)]
-        got = strict(f, p, np.array([x for x, _ in fine]))
-        assert reprs(got.tolist()) == reprs(v for _, v in fine), (a, b)
+        want = [f(p, x) for x in xs]
+        got = strict(f, p, np.array(xs))
+        assert reprs(got.tolist()) == reprs(want), (a, b)
 
 
 def test_neg_log_cdf_array_is_the_scalar_helper():
     # What the gamma curves read every x through, at the edges too: 0.0
-    # and not -0.0 at x = 1, inf at x = 0 and where expm1 overflows.
-    xs = [0.0, *EDGES]
-    for a, b in PARAMS + TINY:
-        p = Params(a, b)
+    # and not -0.0 at x = 1, inf at x = 0 and where expm1 overflows.  With
+    # x = 0 every law takes the scalar helper; without it, the small-beta
+    # laws take the expm1 map.
+    for xs in (EDGES, [0.0, *EDGES]):
+        for a, b in PARAMS + TINY:
+            p = Params(a, b)
+            with np.errstate(**specfun._PYTHON_FLOAT):
+                got = distribution._neg_log_cdf_array(p, np.array(xs))
+            assert reprs(got.tolist()) == reprs(distribution._neg_log_cdf(p, x) for x in xs), (a, b)
+
+
+def check_both_paths(monkeypatch, module, helper, array_form, scalar_form, fine, raising):
+    """array_form against scalar_form by repr, on each path.
+
+    On fine, where `math` raises at no element, the fast map must answer
+    alone: module.helper, the scalar fallback, fails the test if called.
+    With each of raising added, where `math` raises at that element, the
+    scalar helper must answer at every element.
+    """
+    want = [scalar_form(x) for x in fine]
+    with monkeypatch.context() as m:
+        m.setattr(module, helper, lambda *args: pytest.fail(f"{helper} was called"))
+        assert reprs(array_form(np.array(fine)).tolist()) == reprs(want)
+    real = getattr(module, helper)
+    for x in raising:
+        xs = [*fine, x]
+        want = [scalar_form(v) for v in xs]
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(module, helper, lambda *args: calls.append(args) or real(*args))
+            assert reprs(array_form(np.array(xs)).tolist()) == reprs(want), x
+        assert len(calls) == len(xs), x
+
+
+def test_neg_log_cdf_array_fast_map_and_fallback(monkeypatch):
+    # x = 1 is on the fast path, where expm1(-0.0) is -0.0; x = 0 makes
+    # math.log raise, and at beta = 3, x = 5e-324 makes expm1 overflow.
+    p = Params(0.5, 3.0)
+
+    def array_form(x):
         with np.errstate(**specfun._PYTHON_FLOAT):
-            got = distribution._neg_log_cdf_array(p, np.array(xs))
-        assert reprs(got.tolist()) == reprs(distribution._neg_log_cdf(p, x) for x in xs), (a, b)
+            return distribution._neg_log_cdf_array(p, x)
+
+    check_both_paths(monkeypatch, distribution, "_neg_log_cdf", array_form,
+                     lambda x: distribution._neg_log_cdf(p, x), [*INTERIOR[1:], 1.0], [0.0, 5e-324])
+
+
+def test_continued_fraction_scaling_fast_map_and_fallback(monkeypatch):
+    # e^(s ln x) times the fraction: s ln x passes 709.78 at x = 1e7.
+    check_both_paths(monkeypatch, specfun, "_exp_or_inf",
+                     lambda x: strict(specfun.upper_inc_gamma_scaled, 50.0, x),
+                     lambda x: specfun.upper_inc_gamma_scaled(50.0, x), [60.0, 1e3], [1e7])
+
+
+def test_small_x_power_fast_map_and_fallback(monkeypatch):
+    # x^(s/2) after the recurrence: (s/2) ln x passes 709.78 at x = 1e-3.
+    check_both_paths(monkeypatch, specfun, "_small_x",
+                     lambda x: strict(specfun.upper_inc_gamma_scaled, -700.3, x),
+                     lambda x: specfun.upper_inc_gamma_scaled(-700.3, x), [0.5, 0.9], [1e-3])
 
 
 def test_scaled_gamma_array_form_is_the_scalar_loop():

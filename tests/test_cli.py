@@ -74,6 +74,11 @@ class TestEval:
         assert (code, err) == (0, "")
         assert float(out) == pytest.approx(1000000028.7819323, rel=1e-13)
 
+    def test_shannon_where_alpha_beta_underflows(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "shannon", "--alpha", "1e-200",
+                             "--beta", "1e-200")
+        assert (code, err, out) == (0, "", "-4.59939802933908e+202\n")
+
     def test_parser_is_built_once_and_keeps_no_state(self, capsys):
         assert cli._parser() is cli._parser()
         assert build_parser() is not build_parser()  # a caller's parser is its own
@@ -226,6 +231,17 @@ class TestCurve:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 999
         assert all(math.isfinite(float(line.split(",")[1])) for line in rows)
+
+    @pytest.mark.parametrize("fn", ["pdf", "hazard"])
+    def test_density_past_the_doubles_is_inf(self, tmp_path, capsys, fn):
+        # ln f = 725.7 at x = 5e-324; the other six points are finite.
+        out = tmp_path / "c.csv"
+        code, _, err = run(capsys, "curve", "--fn", fn, "--alpha", "0.01", "--beta", "0.01",
+                           "--grid", "5e-324:1e-300:7", "--out", str(out))
+        assert (code, err) == (0, "")
+        ys = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert ys[0] == math.inf
+        assert len(ys) == 7 and all(math.isfinite(y) for y in ys[1:])
 
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "curve", "--fn", "pdf", "--alpha", "1", "--beta", "1",

@@ -91,6 +91,11 @@ class TestPdfCdfSf:
         assert sf(p11, 1.0) == 0.0
         assert sf(p11, 0.0) == 1.0
 
+    def test_pdf_past_the_doubles_is_inf(self):
+        # ln f = 738 and 734 at x = 5e-324: f saturates, as exp does.
+        assert pdf(Params(1e-4, 0.01), 5e-324) == math.inf
+        assert pdf(Params(1.0, 5e-5), 5e-324) == math.inf
+
     def test_sf_precision_near_one(self, p11):
         # 1 - cdf loses precision here; expm1 must not.
         x = 1.0 - 1e-12
@@ -202,6 +207,12 @@ class TestShape:
         assert mode(Params(1.0, 1.0)) == 0.5
         assert mode(Params(2.0, 2.0)) == 1.0  # sqrt(4/3) > 1, capped
 
+    @pytest.mark.parametrize("beta", [1e-10, 0.5])
+    def test_mode_and_bound_where_the_power_overflows(self, beta):
+        # alpha * beta >= 1, so both are 1 without the power, which would overflow.
+        assert mode(Params(1e200, beta)) == 1.0
+        assert log_concavity_bound(Params(1e200, beta)) == 1.0
+
     def test_mode_is_global_maximum(self):
         for p in (Params(0.25, 1.0), Params(3.0, 1.0), Params(1.0, 2.5)):
             peak = pdf(p, mode(p))
@@ -254,7 +265,6 @@ POWER_PAST_RANGE = [
 
 
 @pytest.mark.parametrize("fn, args, want, tol", POWER_PAST_RANGE)
-@pytest.mark.filterwarnings("ignore::unitgompertz.CancellationWarning")
 def test_closed_forms_where_a_power_leaves_the_double_range(fn, args, want, tol):
     got = getattr(unitgompertz, fn)(Params(*args[:2]), *args[2:])
     assert abs(got / want - 1) <= tol, got

@@ -79,6 +79,16 @@ class TestShannon:
         )
         assert abs(shannon_entropy(p11) - res.mean) <= 4.0 * res.std_error
 
+    # 40-digit mpmath values of 1 - ln(alpha beta) - (1 + beta)/beta e^alpha E1(alpha),
+    # where alpha * beta underflows to 0 or overflows to inf.
+    @pytest.mark.parametrize("alpha, beta, want", [
+        (1e-200, 1e-200, -4.5993980293390761e202),
+        (1e-300, 1e-300, -6.9019831223331216e302),
+        (1e200, 1e200, -920.0340371976183),
+    ])
+    def test_where_alpha_beta_leaves_the_doubles(self, alpha, beta, want):
+        assert shannon_entropy(Params(alpha, beta)) == pytest.approx(want, rel=1e-14)
+
     def test_concentrated_law_has_negative_entropy(self):
         p = Params(50.0, 1.0)
         got = shannon_entropy(p)

@@ -18,6 +18,7 @@ from unitgompertz import (
 )
 
 LATTICE = [Params(0.3, 0.5), Params(1.0, 1.0), Params(2.5, 3.0)]
+GAMMA_CURVES = ["mrl", "eit", "lorenz", "bonferroni", "zenga"]
 POINTS = [0.05, 0.5, 0.95]
 
 # One suite at grid 128: per law, 128 eit points, 128 more at the quantiles
@@ -69,6 +70,20 @@ def test_curve_makes_one_array_call(tmp_path, gamma_calls, monkeypatch, fn):
     assert code == 0
     assert [shape for shape in calls if shape] == [(999,)]
     assert len(gamma_calls) <= 2
+    array_calls = [x for _, x in gamma_calls if np.ndim(x)]
+    assert len(array_calls) == (fn in GAMMA_CURVES)
+
+
+@pytest.mark.parametrize("fn", GAMMA_CURVES)
+def test_curve_through_x_1_makes_one_array_call(tmp_path, gamma_calls, fn):
+    # At x = 1 (w = 0) the kernel is the head, which the array call computes
+    # bit for bit, so no second call is made for it.
+    code = cli.main(["curve", "--fn", fn, "--alpha", "1.5", "--beta", "2",
+                     "--grid", "0.001:1:999", "--out", str(tmp_path / "c.csv")])
+    assert code == 0
+    assert len([x for _, x in gamma_calls if np.ndim(x)]) == 1
+    if fn == "eit":  # nothing else of eit needs the gamma function
+        assert len(gamma_calls) == 1
 
 
 def test_suite_pays_each_head_once(gamma_calls):

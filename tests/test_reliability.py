@@ -44,6 +44,11 @@ class TestHazard:
             with pytest.raises(DomainError):
                 hazard(p11, bad)
 
+    def test_past_the_doubles_is_inf(self):
+        # f = e^738 and e^734 at x = 5e-324, and sf <= 1.
+        assert hazard(Params(1e-4, 0.01), 5e-324) == math.inf
+        assert hazard(Params(1.0, 5e-5), 5e-324) == math.inf
+
     # 80-digit mpmath values of f/sf.  Where alpha * beta and w = -ln F(x)
     # both underflow, every law with beta <= 1e-300 has the same hazard to
     # the last digit: x^-(1+beta) / -ln x, the beta -> 0 limit.
