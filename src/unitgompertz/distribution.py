@@ -18,13 +18,16 @@ Every x is read through w = -ln F(x) = alpha * expm1(-beta ln x), formed
 only in `_neg_log_cdf`: W = -ln F(X) is Exp(1), and x -> 1 is w -> 0, where
 expm1 keeps the digits that x^-beta - 1 cancels.
 
-Incomplete moments all come from one kernel, `_lower_moment`; its w = 0
-case, the per-law constant e^alpha * Gamma(s; alpha), is computed in one
-place, the bounded memo `_head`, so a curve or an order-suite lattice pays
-it once per law rather than once per point.  The tail integrals over (x, 1),
-`_tail_moment` and `_integrated_sf`, are E[X^n] minus the kernel; near x = 1
-they are instead summed as Taylor series in v over (0, w) by `_endpoint_mean`
-(the endpoint branch), which leaves nothing to cancel.
+Incomplete moments all come from one kernel, alpha^m e^z Gamma(1 - m; z)
+with m = n/beta and z = alpha + w (`_power_gamma`, `_kernel`), formed from
+specfun's ratio r = z^-s e^z Gamma(s; z) as exp(-m log1p(w/alpha)) z r at
+any m, or in the lower series from e^z Gamma(s; z).  Its w = 0 case, the
+per-law constant, is computed once, in the bounded memo `_head`, so a curve
+or an order-suite lattice pays it once per law rather than once per point.
+The tail integrals over (x, 1), `_tail_moment` and `_integrated_sf`, are
+E[X^n] minus the kernel; near x = 1 they are instead summed as Taylor series
+in v over (0, w) by `_endpoint_mean` (the endpoint branch), which leaves
+nothing to cancel.
 
 log_cdf, log_pdf, pdf, cdf, sf and quantile take x as a float or a 1-d
 array.  A scalar call tests the type once and then calls only private
@@ -38,11 +41,10 @@ Each of `_neg_log_cdf`, `_power_gamma`, `_lower_moment`, `_endpoint_mean`,
 1-d array of points and returns each element bit-identical to the scalar
 helper: `_neg_log_cdf_array` maps expm1 over -beta ln x, or the scalar
 helper over all points if math raises at one, `_power_gamma_array` makes
-one array call of `specfun.upper_inc_gamma_scaled` for all points, whose
-element at w = 0 is the head bit for bit, and the endpoint series runs
-under specfun's retire-on-convergence loop `_converge`.  These serve the array forms here
-and in `reliability` and `inequality`; `_on_points` checks their input as
-the scalar loop would.
+one array call per specfun regime for all points, and the endpoint series
+runs under specfun's retire-on-convergence loop `_converge`.  These serve
+the array forms here and in `reliability` and `inequality`; `_on_points`
+checks their input as the scalar loop would.
 """
 
 from __future__ import annotations
@@ -277,29 +279,39 @@ def sample(p: Params, n: int, seed: int) -> np.ndarray:
     return np.minimum(x, np.nextafter(1.0, 0.0))
 
 
-def _power_gamma(p: Params, m: float, s: float, w: float) -> float:
-    """alpha^m * e^z * Gamma(s; z) at z = alpha + w, for m + s in {0, 1}.
+def _power_gamma(p: Params, n: int, w: float) -> float:
+    """alpha^m * e^z * Gamma(1 - m; z) at m = n/beta and z = alpha + w.
 
-    The product under every incomplete-moment closed form; at w = 0 its
-    gamma factor is the head.  Where alpha^m leaves the normal double range,
-    e^z Gamma(s; z), near z^s / (z + 1 - s), leaves it the other way, so the
-    product is formed as (alpha/z)^m * z^(m + s) * [z^-s e^z Gamma(s; z)].
+    The product under every incomplete-moment closed form; at w = 0 it is the head.
     """
-    scale = _alpha_power(p, m)
-    if sys.float_info.min <= scale < math.inf:
-        if w == 0.0:
-            return scale * _head(s, p.alpha)
-        return scale * specfun.upper_inc_gamma_scaled(s, p.alpha + w)
-    z = p.alpha + w
-    return (p.alpha / z) ** m * z ** (m + s) * specfun._tail_ratio(s, z)
+    return (_head if w == 0.0 else _kernel)(p.alpha, _order(p, n), 1, w)
 
 
-def _alpha_power(p: Params, m: float) -> float:
-    """alpha^m, inf past the double range."""
-    try:
-        return p.alpha**m
-    except OverflowError:
-        return math.inf
+def _order(p: Params, n: int) -> float:
+    """m = n/beta, or DomainError where it passes the double range."""
+    m = n / p.beta
+    if m == math.inf:
+        raise DomainError(f"n/beta is past the double range at n = {n}, beta = {p.beta!r}")
+    return m
+
+
+def _kernel(alpha: float, m: float, k: int, w: float) -> float:
+    """alpha^m e^z Gamma(k - m; z), z = alpha + w, from what specfun's regime computes.
+
+    In the series (s >= 1/2 below s + 1, so alpha^m with m <= 1/2 is a normal
+    double) that is e^z Gamma(s; z); elsewhere r = z^-s e^z Gamma(s; z), with
+    (alpha/z)^m z^k r formed without z^s, whose rounding costs eps*m.
+    """
+    s, z = k - m, alpha + w
+    specfun._check_args(s, z)
+    if s >= 0.5 and z < s + 1.0:
+        return alpha**m * math.exp(z) * (math.gamma(s) - specfun._lower_series(s, z))
+    return math.exp(-m * math.log1p(w / alpha)) * z**k * specfun._tail_ratio(s, z)
+
+
+# The per-law constants E[X^n] = _head(alpha, n/beta, 1, 0.0) and e^alpha E1(alpha)
+# = _head(alpha, 0.0, 0, 0.0); the 256 latest are kept, and exceptions are not.
+_head = functools.lru_cache(maxsize=256)(_kernel)
 
 
 def _lower_moment(p: Params, n: int, w: float) -> float:
@@ -310,8 +322,7 @@ def _lower_moment(p: Params, n: int, w: float) -> float:
     """
     if w > 745.0:  # also w = inf
         return 0.0
-    m = n / p.beta
-    return math.exp(-w) * _power_gamma(p, m, 1.0 - m, w)
+    return math.exp(-w) * _power_gamma(p, n, w)
 
 
 def _at_endpoint(p: Params, m: float, w: float) -> bool:
@@ -365,7 +376,7 @@ def _integrated_sf(p: Params, t: float, w: float) -> float:
     """
     m = 1.0 + 1.0 / p.beta
     if _at_endpoint(p, m, w):
-        return w * _endpoint_mean(p, m, w, survival=True) / (p.alpha * p.beta)
+        return (w / p.alpha) * (_endpoint_mean(p, m, w, survival=True) / p.beta)
     return _tail_moment(p, 1, w) - t * -math.expm1(-w)
 
 
@@ -419,24 +430,27 @@ def _neg_log_cdf_array(p: Params, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power_gamma_array(p: Params, m: float, s: float, w: np.ndarray) -> np.ndarray:
-    """`_power_gamma` at each element of w, with one incomplete-gamma call for all."""
-    scale = _alpha_power(p, m)
-    if not sys.float_info.min <= scale < math.inf:
-        return specfun._elementwise(functools.partial(_power_gamma, p, m, s), w)
-    # The element at w = 0 is the head, bit for bit.  x by keyword: perfbench's
-    # tracer compares a positional x with a float, which an array cannot answer.
-    return scale * specfun.upper_inc_gamma_scaled(s, x=p.alpha + w)
+def _power_gamma_array(p: Params, n: int, w: np.ndarray) -> np.ndarray:
+    """`_power_gamma` at each element of w, in one array call per specfun regime."""
+    m = _order(p, n)
+    s, z = 1.0 - m, p.alpha + w
+    specfun._check_args(s, float(z.max()))  # z > 0: only inf can be out of the domain
+    each = specfun._elementwise
+    return specfun._piecewise(
+        (z < s + 1.0) & (s >= 0.5),
+        lambda i: p.alpha**m * each(math.exp, z[i])
+        * (math.gamma(s) - specfun._lower_series_array(s, z[i])),
+        lambda i: each(math.exp, -m * each(math.log1p, w[i] / p.alpha))
+        * z[i] * specfun._tail_ratio_array(s, z[i]),
+    )
 
 
 def _lower_moment_array(p: Params, n: int, w: np.ndarray) -> np.ndarray:
     """`_lower_moment` at each element of w."""
-    m = n / p.beta
     return specfun._piecewise(
         w > 745.0,
         lambda _: 0.0,
-        lambda pick: specfun._elementwise(math.exp, -w[pick])
-        * _power_gamma_array(p, m, 1.0 - m, w[pick]),
+        lambda pick: specfun._elementwise(math.exp, -w[pick]) * _power_gamma_array(p, n, w[pick]),
     )
 
 
@@ -476,22 +490,11 @@ def _integrated_sf_array(p: Params, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     m = 1.0 + 1.0 / p.beta
     return specfun._piecewise(
         _at_endpoint(p, m, w),
-        lambda pick: w[pick] * _endpoint_mean_array(p, m, w[pick], survival=True)
-        / (p.alpha * p.beta),
+        lambda pick: (w[pick] / p.alpha)
+        * (_endpoint_mean_array(p, m, w[pick], survival=True) / p.beta),
         lambda pick: _tail_moment_array(p, 1, w[pick])
         - t[pick] * -specfun._elementwise(math.expm1, -w[pick]),
     )
-
-
-@functools.lru_cache(maxsize=256)
-def _head(s: float, alpha: float) -> float:
-    """e^alpha * Gamma(s; alpha): the kernel at w = 0, once per (s, alpha).
-
-    The one place the per-law constant is computed; alpha^(n/beta) times
-    _head(1 - n/beta, alpha) is E[X^n].  The memo keeps the 256 latest keys;
-    exceptions are not cached, and specfun is looked up at call time.
-    """
-    return specfun.upper_inc_gamma_scaled(s, alpha)
 
 
 def raw_moment(p: Params, n: int) -> float:

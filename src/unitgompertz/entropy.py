@@ -55,7 +55,7 @@ def renyi_entropy(p: Params, gamma: float) -> float:
 def shannon_entropy(p: Params) -> float:
     """Shannon entropy E[-ln f(X)] in closed form."""
     a, b = p.alpha, p.beta
-    return 1.0 - p._log_alpha_beta - (1.0 + b) / b * _head(0.0, a)
+    return 1.0 - p._log_alpha_beta - (1.0 + b) / b * _head(a, 0.0, 0, 0.0)
 
 
 def song_measure(p: Params) -> float:
@@ -69,6 +69,6 @@ def song_measure(p: Params) -> float:
     """
     a, b = p.alpha, p.beta
     c = 1.0 + 1.0 / b
-    g0 = _head(0.0, a)  # e^alpha Gamma(0; alpha)
+    g0 = _head(a, 0.0, 0, 0.0)  # e^alpha Gamma(0; alpha)
     k = _log_sq_tail_scaled(a)  # E[(ln T)^2]: e^alpha * tail integral of e^-t (ln t)^2
     return 1.0 - 2.0 * c * (1.0 - a * g0) + c * c * (k - (math.log(a) + g0) ** 2)

@@ -3,15 +3,15 @@
 The building block is m1(z) = integral of x f(x) over (0, z), the first
 incomplete moment, with m1(1) = mean: one call of the incomplete-moment
 kernel `distribution._lower_moment` at w = -ln F(z), never mean - I1(z),
-which cancels as z -> 0.  The mean, e^alpha * Gamma(1 - 1/beta; alpha) up
-to alpha^(1/beta), is the per-law constant, computed once in `distribution._head`.
+which cancels as z -> 0.  The mean is computed once per law (`distribution._head`).
 The mean deviation about any point x0 reduces to
 
     delta(x0) = 2*x0*F(x0) + mean - 2*m1(x0) - x0.
 
 The Lorenz curve is L(p) = m1(q) / mean with q the p-quantile; it is finite
 for every beta > 0 (not only beta > 1) because the incomplete-gamma lower
-limit alpha / q^beta stays positive on a bounded support.  Zenga's curve
+limit alpha / q^beta stays positive on a bounded support; where the mean
+is below the normal doubles, alpha is cancelled first.  Zenga's curve
 compares the conditional means below and above x; the upper one comes from
 `distribution._tail_moment`, which switches to the endpoint branch near x = 1.
 """
@@ -22,7 +22,9 @@ import math
 
 import numpy as np
 
+from . import specfun
 from .distribution import (
+    _MIN,
     Params,
     _in_open_unit,
     _lower_moment,
@@ -68,12 +70,29 @@ def lorenz(p: Params, prob: float) -> float:
         return _on_points(lorenz, p, prob, _in_open_unit, _lorenz_array)
     if not 0.0 < prob <= 1.0:
         raise DomainError(f"lorenz needs prob in (0, 1], got {prob!r}")
-    return _lower_moment(p, 1, -math.log(prob)) / raw_moment(p, 1)
+    w = -math.log(prob)
+    mean = raw_moment(p, 1)
+    if mean >= _MIN:
+        return _lower_moment(p, 1, w) / mean
+    s = 1.0 - 1.0 / p.beta  # as `_lorenz_array`
+    return (math.exp(s * math.log1p(w / p.alpha) - w)
+            * specfun._tail_ratio(s, p.alpha + w) / specfun._tail_ratio(s, p.alpha))
 
 
 def _lorenz_array(p: Params, prob: np.ndarray) -> np.ndarray:
-    """`lorenz` at each prob in (0, 1]."""
-    return _quotient(_lower_moment_array(p, 1, -_elementwise(math.log, prob)), raw_moment(p, 1))
+    """`lorenz` at each prob in (0, 1].
+
+    Where E[X] = alpha r(s, alpha) is below the normal doubles, with
+    s = 1 - 1/beta and r = z^-s e^z Gamma(s; z), alpha cancels from m1/E[X]:
+    L = e^-w (z/alpha)^s r(s, z) / r(s, alpha), with the power formed in logs.
+    """
+    w = -_elementwise(math.log, prob)
+    mean = raw_moment(p, 1)
+    if mean >= _MIN:
+        return _lower_moment_array(p, 1, w) / mean
+    s = 1.0 - 1.0 / p.beta
+    return (_elementwise(math.exp, s * _elementwise(math.log1p, w / p.alpha) - w)
+            * specfun._tail_ratio_array(s, p.alpha + w) / specfun._tail_ratio(s, p.alpha))
 
 
 def bonferroni(p: Params, prob: float) -> float:
@@ -101,22 +120,21 @@ def zenga(p: Params, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"zenga needs x in (0, 1), got {x!r}")
     w = _neg_log_cdf(p, x)
-    if not math.isfinite(w):
-        return 1.0  # x so small that the lower conditional mean vanishes
-    m = 1.0 / p.beta
-    below = _power_gamma(p, m, 1.0 - m, w)
+    if not math.isfinite(w):  # z = inf: E[X | X <= x] = x - eit(x) is x, and sf is 1
+        return 1.0 - x / raw_moment(p, 1)
+    below = _power_gamma(p, 1, w)
     return 1.0 - below * -math.expm1(-w) / _tail_moment(p, 1, w, math.exp(-w) * below)
 
 
 def _zenga_array(p: Params, x: np.ndarray) -> np.ndarray:
     """`zenga` at each x in (0, 1)."""
     w = _neg_log_cdf_array(p, x)
-    return _piecewise(np.isfinite(w), lambda pick: _zenga_finite(p, w[pick]), lambda _: 1.0)
+    return _piecewise(np.isfinite(w), lambda pick: _zenga_finite(p, w[pick]),
+                      lambda pick: 1.0 - x[pick] / raw_moment(p, 1))
 
 
 def _zenga_finite(p: Params, w: np.ndarray) -> np.ndarray:
     """`zenga` at each finite w = -ln F(x)."""
-    m = 1.0 / p.beta
-    below = _power_gamma_array(p, m, 1.0 - m, w)
+    below = _power_gamma_array(p, 1, w)
     return 1.0 - _quotient(below * -_elementwise(math.expm1, -w),
                            _tail_moment_array(p, 1, w, _elementwise(math.exp, -w) * below))

@@ -7,8 +7,7 @@ and reduces to the tail integral
 
 where the incomplete moment m_n over (0, t) comes from the kernel
 `distribution._lower_moment`, which keeps the e^alpha factor from
-overflowing, and E[X^n] from `raw_moment`, whose per-law constant
-e^alpha * Gamma(1 - n/beta; alpha) is computed once in `distribution._head`.
+overflowing, and E[X^n] from `raw_moment`, computed once per law in `distribution._head`.
 Near t = 1 that difference cancels, so `distribution._tail_moment` and
 `distribution._integrated_sf` (Psi(t), the integral of sf over (t, 1))
 switch to the endpoint branch there; mrl = Psi / sf, which near 1 is >= 0.
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .distribution import (
     _MIN,
     Params,
@@ -44,8 +44,7 @@ from .distribution import (
     _neg_log_cdf,
     _neg_log_cdf_array,
     _on_points,
-    _power_gamma,
-    _power_gamma_array,
+    _order,
     _quotient,
     _tail_moment,
     _v_integral,
@@ -164,9 +163,10 @@ def _mrl_below_one(p: Params, t: np.ndarray) -> np.ndarray:
 def eit(p: Params, x: float) -> float:
     """Expected inactivity time E[x - X | X <= x] for x in (0, 1].
 
-    Closed form (alpha^(1/beta) / beta) * e^z * Gamma(-1/beta; z) with
-    z = alpha + w, evaluated in scaled form; eit(1) equals 1 - mean.
-    x may be a 1-d array (README, "Command line").
+    Closed form (alpha^m / beta) e^z Gamma(-m; z), m = 1/beta, z = alpha + w;
+    alpha^m z^-m is x^(beta m) = x, so it is x r(-m, z) / beta, r = z^m e^z Gamma(-m; z),
+    with no power formed: eit <= x to a few ulps at any beta.  eit(1) equals
+    1 - mean.  x may be a 1-d array (README, "Command line").
     """
     if type(x) is not float and isinstance(x, _ndarray):
         return _on_points(eit, p, x, _in_open_unit, _eit_array)
@@ -175,7 +175,7 @@ def eit(p: Params, x: float) -> float:
     w = _neg_log_cdf(p, x)
     if not math.isfinite(w):
         return 0.0
-    return _power_gamma(p, 1.0 / p.beta, -1.0 / p.beta, w) / p.beta
+    return x * (specfun._tail_ratio(-_order(p, 1), p.alpha + w) / p.beta)
 
 
 def _eit_array(p: Params, x: np.ndarray) -> np.ndarray:
@@ -183,7 +183,7 @@ def _eit_array(p: Params, x: np.ndarray) -> np.ndarray:
     w = _neg_log_cdf_array(p, x)
     return _piecewise(
         np.isfinite(w),
-        lambda pick: _power_gamma_array(p, 1.0 / p.beta, -1.0 / p.beta, w[pick]) / p.beta,
+        lambda i: x[i] * (specfun._tail_ratio_array(-_order(p, 1), p.alpha + w[i]) / p.beta),
         lambda _: 0.0,
     )
 

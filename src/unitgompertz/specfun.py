@@ -29,19 +29,20 @@ absorbs its b += 2, that ratio can settle at 1 - 2^-53, beyond _EPS.
 
 The ratio r = x^-s e^x Gamma(s; x) (`_tail_ratio`), which the continued
 fraction and the recurrence yield directly, stays finite where Gamma(s; x)
-and x^s leave the double range together.
+and x^s leave the double range together; every incomplete moment of the
+library is built from it (`distribution._kernel`).  Where (1 - s)/b^2 < _EPS,
+b = x + 1 - s, the continued fraction is 1/b at once: past x ~ 1e308 that
+1/b is subnormal, and no Lentz step would settle.
 
-`upper_inc_gamma_scaled` also takes x as a 1-d float array with one scalar s.
-Its array form runs each loop above as numpy arithmetic over all elements at
-once, driven by `_converge`, which advances the state arrays and retires each
-element at the iteration where its scalar loop would stop.  Only +, -, *, /,
-abs and comparisons act on arrays; every log, exp, expm1, power and gamma
-runs element by element through `math` or the builtin `pow` (`_elementwise`,
-`_pow`), so each element is bit-identical to the scalar call, and numpy's
-error state is set to Python's float semantics (`_PYTHON_FLOAT`) for the
-duration.  Where the scalar form catches an overflowing exp or power, the
-array form maps `math` over all elements and, if it raises at one, maps the
-scalar helper over all instead: it states no overflow threshold of its own.
+`_tail_ratio` and `_lower_series` have array forms over a 1-d x with one
+scalar s.  They run the loops above as numpy arithmetic over all elements,
+driven by `_converge`, which retires each element at the iteration where its
+scalar loop would stop.  Only +, -, *, /, abs and comparisons act on arrays;
+every log, exp, expm1, power and gamma runs element by element through
+`math` or the builtin `pow` (`_elementwise`, `_pow`), so each element is
+bit-identical to the scalar call, under Python's float semantics
+(`_PYTHON_FLOAT`), which the caller sets.  `upper_inc_gamma_scaled` takes an
+array too, as the scalar loop.
 
 The tail integral of e^(-t) (ln t)^2 over (a, inf) is gamma^2 + pi^2/6 minus
 the termwise-integrated power series of e^(-t) for small a, and the second
@@ -84,8 +85,10 @@ def _check_args(s: float, x: float) -> None:
 def _cf_factor(s: float, x: float) -> float:
     """Legendre continued fraction h(s, x), with Gamma(s, x) = x^s e^(-x) h."""
     b = x + 1.0 - s
-    c = 1.0 / _TINY
     d = 1.0 / b
+    if abs(1.0 - s) / b < _EPS * b:  # h = (1/b)(1 + O((1 - s)/b^2)); also past x ~ 1e308
+        return d
+    c = 1.0 / _TINY
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - s)
@@ -233,19 +236,14 @@ def upper_inc_gamma(s: float, x: float) -> float:
 
 
 def upper_inc_gamma_scaled(s: float, x: float) -> float:
-    """e^x * Gamma(s; x): the numerically safe form for tail products.
-
-    Every closed form in this package that multiplies Gamma(s; z) by e^z (or
-    by e^alpha with z >= alpha) should go through this function; the bare
-    product overflows once z passes ~700.
+    """e^x * Gamma(s; x), finite where e^x and Gamma(s; x) alone are not.
 
     x may also be a 1-d float array, with s one scalar shape: the array form
-    returns every element bit-identical to the scalar call.  It raises
-    DomainError before any work if s or some element is outside the domain,
-    and otherwise OracleError where a scalar call would.
+    is the scalar loop, and raises what it raises.
     """
     if isinstance(x, np.ndarray):
-        return _scaled_array(s, x)
+        return _elementwise(functools.partial(upper_inc_gamma_scaled, s),
+                            _one_d(upper_inc_gamma_scaled, x))
     _check_args(s, x)
     if x >= _cf_from(s):
         return _exp_or_inf(s * math.log(x), _cf_factor(s, x))
@@ -274,15 +272,6 @@ def _one_d(fn, x) -> np.ndarray:
     if x.ndim != 1:
         raise DomainError(f"{fn.__name__} takes a float or a 1-d array, got a {x.ndim}-d array")
     return x
-
-
-def _exp_or_inf_array(arg: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`_exp_or_inf` at each element of arg and scale: math.exp, or the scalar
-    helper at every element if math.exp overflows at one."""
-    try:
-        return _elementwise(math.exp, arg) * scale
-    except OverflowError:
-        return _elementwise(_exp_or_inf, arg, scale)
 
 
 def _piecewise(mask: np.ndarray, when, otherwise) -> np.ndarray:
@@ -339,11 +328,14 @@ def _cf_factor_array(s: float, x: np.ndarray) -> np.ndarray:
         delta = d * c
         return (h * delta, b, c, d), np.abs(delta - 1.0) < 2.0 * _EPS
 
+    def lentz(i):
+        d = 1.0 / b[i]
+        return _converge(step, (d, b[i], np.full(len(d), 1.0 / _TINY), d), range(1, _MAX_ITER),
+                         lambda j: OracleError(f"continued fraction for Gamma({s}, "
+                                               f"{float(x[i][j])}) did not converge"))
+
     b = x + 1.0 - s
-    d = 1.0 / b
-    return _converge(step, (d, b, np.full(len(x), 1.0 / _TINY), d), range(1, _MAX_ITER),
-                     lambda j: OracleError(f"continued fraction for Gamma({s}, {float(x[j])})"
-                                           " did not converge"))
+    return _piecewise(abs(1.0 - s) / b < _EPS * b, lambda pick: 1.0 / b[pick], lentz)
 
 
 def _lower_series_array(s: float, x: np.ndarray) -> np.ndarray:
@@ -364,8 +356,8 @@ def _lower_series_array(s: float, x: np.ndarray) -> np.ndarray:
     return total * _elementwise(math.exp, s * _elementwise(math.log, x) - x)
 
 
-def _small_x_array(s: float, x: np.ndarray) -> np.ndarray:
-    """`_small_x` at each element of x: `_seed`, then `_recur`, over the array."""
+def _recur_array(s: float, x: np.ndarray) -> np.ndarray:
+    """`_recur(s, x, *_seed(s, x))` at each element of x."""
     a = s - math.floor(s + 0.5)
 
     def step(k, total, term, x):
@@ -383,37 +375,22 @@ def _small_x_array(s: float, x: np.ndarray) -> np.ndarray:
     else:
         log_x = _elementwise(math.log, x)
         g = _rgamma_head(a) - _elementwise(math.expm1, a * log_x) / a - _pow(x, a) * total
-    if a == s:
-        return g
-    try:
-        half = _pow(x, 0.5 * s)
-    except OverflowError:  # at one element: the scalar form, which saturates, at all
-        return _elementwise(functools.partial(_small_x, s), x)
     r = _elementwise(math.exp, x) * _pow(x, -a) * g
     for _ in range(round(a - s)):
         a -= 1.0
         r = (x * r - 1.0) / a
-    return half * (half * _elementwise(math.exp, -x) * r)
+    return r
 
 
-def _scaled_array(s: float, x: np.ndarray) -> np.ndarray:
-    """`upper_inc_gamma_scaled` at each element of the 1-d array x."""
-    x = _one_d(upper_inc_gamma_scaled, x)
-    bad = np.flatnonzero(~(np.isfinite(x) & (x > 0.0)))
-    _check_args(s, float(x[bad[0]]) if bad.size else 1.0)  # s first, then the first bad x
-    with np.errstate(**_PYTHON_FLOAT):
-        return _piecewise(
-            x >= _cf_from(s),
-            lambda pick: _exp_or_inf_array(s * _elementwise(math.log, x[pick]),
-                                           _cf_factor_array(s, x[pick])),
-            lambda pick: _below_cf_array(s, x[pick]),
-        )
-
-
-def _below_cf_array(s: float, x: np.ndarray) -> np.ndarray:
-    """e^x * Gamma(s; x) at each x < max(1, s + 1), as the scalar form gives it."""
-    g = math.gamma(s) - _lower_series_array(s, x) if s >= 0.5 else _small_x_array(s, x)
-    return _elementwise(math.exp, x) * g
+def _tail_ratio_array(s: float, x: np.ndarray) -> np.ndarray:
+    """`_tail_ratio` at each element of x; below the continued fraction at s >= 1/2,
+    where the library takes the lower series itself, the scalar loop."""
+    return _piecewise(
+        x >= _cf_from(s),
+        lambda pick: _cf_factor_array(s, x[pick]),
+        lambda pick: _recur_array(s, x[pick]) if s < 0.5
+        else _elementwise(functools.partial(_tail_ratio, s), x[pick]),
+    )
 
 
 def exp_integral_e1(x: float) -> float:

@@ -48,7 +48,7 @@ PARAMS = [
     (1e-3, 2.0),  # the series at s = 1/2; eit: a = s = -1/2
     (0.5, 3.0),  # the series
     (2.0, 10.0),  # w = inf at x = 1e-300
-    (1e-4, 0.01),  # alpha^m underflows: the ratio branch
+    (1e-4, 0.01),  # m = 100, where alpha^m underflows
     (1.0, 5e-5),  # s < -10000: the continued fraction at every z
     (50.0, 0.5),  # the continued fraction only
 ]
@@ -153,25 +153,25 @@ def test_neg_log_cdf_array_fast_map_and_fallback(monkeypatch):
                      lambda x: distribution._neg_log_cdf(p, x), [*INTERIOR[1:], 1.0], [0.0, 5e-324])
 
 
-def test_continued_fraction_scaling_fast_map_and_fallback(monkeypatch):
-    # e^(s ln x) times the fraction: s ln x passes 709.78 at x = 1e7.
-    check_both_paths(monkeypatch, specfun, "_exp_or_inf",
-                     lambda x: strict(specfun.upper_inc_gamma_scaled, 50.0, x),
-                     lambda x: specfun.upper_inc_gamma_scaled(50.0, x), [60.0, 1e3], [1e7])
-
-
-def test_small_x_power_fast_map_and_fallback(monkeypatch):
-    # x^(s/2) after the recurrence: (s/2) ln x passes 709.78 at x = 1e-3.
-    check_both_paths(monkeypatch, specfun, "_small_x",
-                     lambda x: strict(specfun.upper_inc_gamma_scaled, -700.3, x),
-                     lambda x: specfun.upper_inc_gamma_scaled(-700.3, x), [0.5, 0.9], [1e-3])
+# Shapes and lower limits reaching every regime of the incomplete gamma.
+LATTICE_S = (-20000.5, -50.3, -2.5, -1.0, -0.5, 0.0, 0.05, 0.3, 0.5, 0.9, 3.7, 150.0)
+LATTICE_X = [1e-300, 1e-10, 0.01, 0.5, 0.999, 1.0, 1.5, 10.0, 200.0, 1e5, 1e20]
 
 
 def test_scaled_gamma_array_form_is_the_scalar_loop():
-    xs = [1e-300, 1e-10, 0.01, 0.5, 0.999, 1.0, 1.5, 10.0, 200.0, 1e5, 1e20]
-    for s in (-20000.5, -50.3, -2.5, -1.0, -0.5, 0.0, 0.05, 0.3, 0.5, 0.9, 3.7, 150.0):
-        want = [specfun.upper_inc_gamma_scaled(s, x) for x in xs]
-        got = strict(specfun.upper_inc_gamma_scaled, s, np.array(xs))
+    for s in LATTICE_S:
+        want = [specfun.upper_inc_gamma_scaled(s, x) for x in LATTICE_X]
+        got = strict(specfun.upper_inc_gamma_scaled, s, np.array(LATTICE_X))
+        assert reprs(got.tolist()) == reprs(want), s
+
+
+def test_tail_ratio_array_form_is_the_scalar_loop():
+    # The ratio z^-s e^z Gamma(s; z) that the incomplete-moment kernel takes
+    # from the continued fraction and from the seed and recurrence.
+    for s in LATTICE_S:
+        want = [specfun._tail_ratio(s, x) for x in LATTICE_X]
+        with np.errstate(**specfun._PYTHON_FLOAT):
+            got = specfun._tail_ratio_array(s, np.array(LATTICE_X))
         assert reprs(got.tolist()) == reprs(want), s
 
 

@@ -232,6 +232,18 @@ class TestCurve:
         assert len(rows) == 999
         assert all(math.isfinite(float(line.split(",")[1])) for line in rows)
 
+    @pytest.mark.parametrize("fn", ["eit", "zenga"])
+    def test_gamma_curve_past_z_of_1e308_completes(self, tmp_path, capsys, fn):
+        # z = alpha x^-beta passes 1e308 from x = 0.986 down: there the continued
+        # fraction is 1/(z + 1 - s), returned without a Lentz step.
+        out = tmp_path / "c.csv"
+        code, _, err = run(capsys, "curve", "--fn", fn, "--alpha", "100", "--beta", "5e4",
+                           "--grid", "0.001:0.999:999", "--out", str(out))
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 999
+        assert all(0.0 <= float(y) <= 1.0 for _, y in rows)
+
     @pytest.mark.parametrize("fn", ["pdf", "hazard"])
     def test_density_past_the_doubles_is_inf(self, tmp_path, capsys, fn):
         # ln f = 725.7 at x = 5e-324; the other six points are finite.

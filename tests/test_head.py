@@ -1,4 +1,4 @@
-"""The per-law head e^alpha * Gamma(s; alpha): computed once, same value cold or warm."""
+"""The per-law head, E[X^n] or e^alpha E1(alpha): computed once, same value cold or warm."""
 
 import numpy as np
 import pytest
@@ -26,18 +26,23 @@ POINTS = [0.05, 0.5, 0.95]
 SUITE_GAMMA_CALLS = 2 * (128 + 128 + 128 + 1)
 
 
+# What the incomplete-moment kernel calls in specfun, each also as an array
+# form: the ratio z^-s e^z Gamma(s; z), and the lower series in the one
+# regime where the kernel takes e^z Gamma(s; z) itself.
+PRIMITIVES = ["_tail_ratio", "_lower_series", "_tail_ratio_array", "_lower_series_array"]
+
+
 @pytest.fixture
 def gamma_calls(monkeypatch):
-    """Cold memo, and a log of every e^x * Gamma(s; x) call from any module."""
+    """Cold memo, and a log (name, s, x) of every call of the kernel's specfun primitives."""
     distribution._head.cache_clear()
     calls = []
-    real = specfun.upper_inc_gamma_scaled
+    for name in PRIMITIVES:
+        def counted(s, x, name=name, real=getattr(specfun, name)):
+            calls.append((name, s, x))
+            return real(s, x)
 
-    def counted(s, x):
-        calls.append((s, x))
-        return real(s, x)
-
-    monkeypatch.setattr(specfun, "upper_inc_gamma_scaled", counted)
+        monkeypatch.setattr(specfun, name, counted)
     yield calls
     distribution._head.cache_clear()
 
@@ -54,7 +59,8 @@ def test_curve_pays_the_head_once(tmp_path, gamma_calls, fn):
 @pytest.mark.parametrize("fn", [fn for fn, (*_, window) in cli.REGISTRY.items() if window])
 def test_curve_makes_one_array_call(tmp_path, gamma_calls, monkeypatch, fn):
     # One call of the curve's function with the whole grid as an array; in
-    # it, at most the head and one incomplete-gamma call for every point.
+    # it, at most the head and, at (1.5, 2), where every point takes the
+    # continued fraction, one array call of the ratio.
     # (The closed forms' array form is the scalar loop, whose float calls
     # come back through the patched name.)
     module, name, _, _ = cli.REGISTRY[fn]
@@ -70,7 +76,7 @@ def test_curve_makes_one_array_call(tmp_path, gamma_calls, monkeypatch, fn):
     assert code == 0
     assert [shape for shape in calls if shape] == [(999,)]
     assert len(gamma_calls) <= 2
-    array_calls = [x for _, x in gamma_calls if np.ndim(x)]
+    array_calls = [x for *_, x in gamma_calls if np.ndim(x)]
     assert len(array_calls) == (fn in GAMMA_CURVES)
 
 
@@ -81,9 +87,23 @@ def test_curve_through_x_1_makes_one_array_call(tmp_path, gamma_calls, fn):
     code = cli.main(["curve", "--fn", fn, "--alpha", "1.5", "--beta", "2",
                      "--grid", "0.001:1:999", "--out", str(tmp_path / "c.csv")])
     assert code == 0
-    assert len([x for _, x in gamma_calls if np.ndim(x)]) == 1
+    assert len([x for *_, x in gamma_calls if np.ndim(x)]) == 1
     if fn == "eit":  # nothing else of eit needs the gamma function
         assert len(gamma_calls) == 1
+
+
+@pytest.mark.parametrize("fn", GAMMA_CURVES)
+def test_curve_makes_one_array_call_per_regime(tmp_path, gamma_calls, fn):
+    # At (0.5, 3) the moments' s = 2/3 takes the lower series below z = 5/3,
+    # near x = 1, and the ratio above: one array call each, and the head.
+    # eit's s = -1/3 takes the ratio at every point.
+    code = cli.main(["curve", "--fn", fn, "--alpha", "0.5", "--beta", "3",
+                     "--grid", "0.001:0.999:999", "--out", str(tmp_path / "c.csv")])
+    assert code == 0
+    arrays = sorted(name for name, _, x in gamma_calls if np.ndim(x))
+    assert arrays == (["_tail_ratio_array"] if fn == "eit"
+                      else ["_lower_series_array", "_tail_ratio_array"])
+    assert len(gamma_calls) <= 3
 
 
 def test_suite_pays_each_head_once(gamma_calls):
@@ -118,9 +138,10 @@ def test_failures_are_not_cached(monkeypatch):
 
     def failing(s, x):
         calls.append((s, x))
-        raise OracleError("continued fraction did not converge")
+        raise OracleError("series did not converge")
 
-    monkeypatch.setattr(specfun, "upper_inc_gamma_scaled", failing)
+    # At (1, 2) the head is e^alpha Gamma(1/2; 1), from the lower series.
+    monkeypatch.setattr(specfun, "_lower_series", failing)
     for _ in range(2):
         with pytest.raises(OracleError):
             raw_moment(Params(1.0, 2.0), 1)

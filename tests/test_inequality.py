@@ -11,6 +11,7 @@ from unitgompertz import (
     Params,
     bonferroni,
     cdf,
+    cli,
     first_incomplete_moment,
     lorenz,
     mean_deviation_about,
@@ -116,6 +117,27 @@ class TestLorenz:
         assert np.all(second >= -1e-9)
 
 
+# alpha beta is below 1e-400, so E[X] = alpha beta / (1 + alpha beta) is 0.0.
+TINY_MEAN = [Params(a, b) for a in (1e-300, 1e-200) for b in (1e-300, 1e-200)]
+
+
+@pytest.mark.parametrize("p", TINY_MEAN, ids=repr)
+def test_lorenz_and_bonferroni_where_the_mean_underflows(p, tmp_path):
+    # alpha cancels from m1/E[X] before either is formed; the limit is
+    # L(u) = u^(1 + 1/(alpha beta)): 0.0 below u = 1 and 1.0 at it.
+    us = [1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+    want = [0.0, 0.0, 0.0, 1.0]
+    assert raw_moment(p, 1) == 0.0
+    for f in (lorenz, bonferroni):
+        assert [f(p, u) for u in us] == want
+        assert f(p, np.array(us)).tolist() == want
+        for grid in ("0:1:41", "0.001:0.999:999"):
+            code = cli.main(["curve", "--fn", f.__name__, "--alpha", repr(p.alpha),
+                             "--beta", repr(p.beta), "--grid", grid,
+                             "--out", str(tmp_path / "c.csv")])
+            assert code == 0
+
+
 class TestBonferroni:
     def test_full_mass(self, p11):
         assert bonferroni(p11, 1.0) == pytest.approx(1.0, rel=1e-12)
@@ -138,6 +160,13 @@ class TestBonferroni:
 
 
 class TestZenga:
+    def test_where_w_overflows_the_lower_conditional_mean_is_x(self):
+        # At (100, 5e4) w = -ln F(0.5) is past the doubles: given X <= 0.5,
+        # X is 0.5 to the last bit, so Z = 1 - 0.5 / mean (50-digit mpmath).
+        p = Params(100.0, 5e4)
+        assert zenga(p, 0.5) == pytest.approx(0.49999990098057694, rel=1e-14)
+        assert zenga(p, np.array([0.5])).tolist() == [zenga(p, 0.5)]
+
     def test_conditional_mean_construction(self, p11):
         assert_close(zenga(p11, 0.5), ZENGA_11_AT_HALF, 1e-8)
         # Live construction: 1 - (E[X | X <= x] / E[X | X > x]).

@@ -4,6 +4,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from unitgompertz import (
@@ -257,6 +258,18 @@ def test_continued_fractions_converge_past_two_to_the_53():
         want_log_sq = mp.quad(lambda u: mp.exp(-u) * mp.log(a + u) ** 2, [0, 1, 10, mp.inf])
     assert abs(upper_inc_gamma_scaled(s, z) / float(want_gamma) - 1) <= 1e-12
     assert abs(specfun._log_sq_tail_scaled(a) / float(want_log_sq) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [-2e-5, 0.99998, -1.0, 0.5, -3000.0])
+def test_continued_fraction_past_1e308_is_one_over_b(s):
+    # There the Lentz step's 1/b is subnormal and would never settle; the
+    # fraction is (1/b)(1 + O((1 - s)/b^2)) with b = z + 1 - s.
+    z = 1.4e308
+    b = z + 1.0 - s
+    assert abs(specfun._cf_factor(s, z) - 1.0 / b) <= math.ulp(1.0 / b)
+    with np.errstate(**specfun._PYTHON_FLOAT):
+        got = specfun._tail_ratio_array(s, np.array([2.0, z]))
+    assert got.tolist() == [specfun._tail_ratio(s, 2.0), specfun._cf_factor(s, z)]
 
 
 @pytest.mark.parametrize("fn, s, x", [
