@@ -8,6 +8,7 @@ repr, which also tells -0.0 from 0.0, under numpy's strictest error state
 and with warnings as errors.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -165,14 +166,59 @@ def test_scaled_gamma_array_form_is_the_scalar_loop():
         assert reprs(got.tolist()) == reprs(want), s
 
 
+def tail_ratio_array(s, xs):
+    with np.errstate(**specfun._PYTHON_FLOAT):
+        return specfun._tail_ratio_array(s, np.array(xs)).tolist()
+
+
 def test_tail_ratio_array_form_is_the_scalar_loop():
     # The ratio z^-s e^z Gamma(s; z) that the incomplete-moment kernel takes
     # from the continued fraction and from the seed and recurrence.
     for s in LATTICE_S:
         want = [specfun._tail_ratio(s, x) for x in LATTICE_X]
-        with np.errstate(**specfun._PYTHON_FLOAT):
-            got = specfun._tail_ratio_array(s, np.array(LATTICE_X))
-        assert reprs(got.tolist()) == reprs(want), s
+        assert reprs(tail_ratio_array(s, LATTICE_X)) == reprs(want), s
+
+
+def refuse(monkeypatch, *helpers):
+    for name in helpers:
+        monkeypatch.setattr(specfun, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+
+
+def test_continued_fraction_scaling_fast_map_and_fallback(monkeypatch):
+    # The ratio takes no e^(s ln x) scaling: at s = 50, s ln x passes 709.78
+    # at x = 1e7, where the scaled gamma saturates, and at 1e20 the fraction
+    # is 1/b at once.  The continued-fraction map answers alone there.
+    fine = [60.0, 1e3, 1e7, 1e20]
+    want = [specfun._tail_ratio(50.0, x) for x in fine]
+    assert specfun.upper_inc_gamma_scaled(50.0, 1e7) == math.inf
+    assert all(0.0 < r < math.inf for r in want)
+    with monkeypatch.context() as m:
+        refuse(m, "_tail_ratio", "_exp_or_inf", "_cf_factor")
+        assert reprs(tail_ratio_array(50.0, fine)) == reprs(want)
+    # Below x = s + 1 at s >= 1/2, the scalar _tail_ratio answers at those
+    # elements and at no other.
+    xs = [0.5, *fine, 10.0]
+    want = [specfun._tail_ratio(50.0, x) for x in xs]
+    real = specfun._tail_ratio
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_tail_ratio", lambda *args: calls.append(args) or real(*args))
+        assert reprs(tail_ratio_array(50.0, xs)) == reprs(want)
+    assert calls == [(50.0, 0.5), (50.0, 10.0)]
+
+
+def test_small_x_power_fast_map_and_fallback(monkeypatch):
+    # The ratio takes no x^(s/2): at s = -700.3, (s/2) ln x passes 709.78 at
+    # x = 1e-3, where the scalar _small_x saturates Gamma(s; x) to inf.  The
+    # seed-and-recurrence map answers alone, finite, below x = 1, and the
+    # continued-fraction map from x = 1 on.
+    xs = [1e-3, 0.5, 0.9, 1.0, 3.0]
+    want = [specfun._tail_ratio(-700.3, x) for x in xs]
+    assert specfun.upper_inc_gamma_scaled(-700.3, 1e-3) == math.inf
+    assert all(0.0 < r < math.inf for r in want)
+    with monkeypatch.context() as m:
+        refuse(m, "_tail_ratio", "_small_x", "_recur", "_seed", "_cf_factor")
+        assert reprs(tail_ratio_array(-700.3, xs)) == reprs(want)
 
 
 @pytest.mark.parametrize("f", FNS, ids=lambda f: f.__name__)
