@@ -20,10 +20,10 @@ expm1 keeps the digits that x^-beta - 1 cancels.
 
 Incomplete moments all come from one kernel, alpha^m e^z Gamma(1 - m; z)
 with m = n/beta and z = alpha + w (`_power_gamma`, `_kernel`), formed from
-specfun's ratio r = z^-s e^z Gamma(s; z) as exp(-m log1p(w/alpha)) z r at
-any m, or in the lower series from e^z Gamma(s; z).  Its w = 0 case, the
-per-law constant, is computed once, in the bounded memo `_head`, so a curve
-or an order-suite lattice pays it once per law rather than once per point.
+specfun's ratio r = z^-s e^z Gamma(s; z) as exp(-m ln(z/alpha)) z r at any
+m and alpha, or in the lower series from e^z Gamma(s; z).  Its w = 0 case,
+the per-law constant, is computed once, in the bounded memo `_head`, so a
+curve or an order-suite lattice pays it once per law, not once per point.
 The tail integrals over (x, 1), `_tail_moment` and `_integrated_sf`, are
 E[X^n] minus the kernel; near x = 1 they are instead summed as Taylor series
 in v over (0, w) by `_endpoint_mean` (the endpoint branch), which leaves
@@ -298,15 +298,17 @@ def _order(p: Params, n: int) -> float:
 def _kernel(alpha: float, m: float, k: int, w: float) -> float:
     """alpha^m e^z Gamma(k - m; z), z = alpha + w, from what specfun's regime computes.
 
-    In the series (s >= 1/2 below s + 1, so alpha^m with m <= 1/2 is a normal
-    double) that is e^z Gamma(s; z); elsewhere r = z^-s e^z Gamma(s; z), with
+    In the series (s >= 1/2 below s + 1, taken at k = 1 only, so alpha^m with
+    m <= 1/2 is a normal double) that is e^z Gamma(s; z); elsewhere r = z^-s e^z Gamma(s; z), with
     (alpha/z)^m z^k r formed without z^s, whose rounding costs eps*m.
     """
     s, z = k - m, alpha + w
     specfun._check_args(s, z)
     if s >= 0.5 and z < s + 1.0:
         return alpha**m * math.exp(z) * (math.gamma(s) - specfun._lower_series(s, z))
-    return math.exp(-m * math.log1p(w / alpha)) * z**k * specfun._tail_ratio(s, z)
+    u = w / alpha  # ln(z/alpha) is ln w - ln alpha where u passes the doubles (alpha subnormal)
+    rise = math.log1p(u) if u < math.inf else math.log(w) - math.log(alpha)
+    return math.exp(-m * rise) * z**k * specfun._tail_ratio(s, z)
 
 
 # The per-law constants E[X^n] = _head(alpha, n/beta, 1, 0.0) and e^alpha E1(alpha)
@@ -440,9 +442,16 @@ def _power_gamma_array(p: Params, n: int, w: np.ndarray) -> np.ndarray:
         (z < s + 1.0) & (s >= 0.5),
         lambda i: p.alpha**m * each(math.exp, z[i])
         * (math.gamma(s) - specfun._lower_series_array(s, z[i])),
-        lambda i: each(math.exp, -m * each(math.log1p, w[i] / p.alpha))
+        lambda i: each(math.exp, -m * _log_rise_array(p.alpha, w[i]))
         * z[i] * specfun._tail_ratio_array(s, z[i]),
     )
+
+
+def _log_rise_array(alpha: float, w: np.ndarray) -> np.ndarray:
+    """ln(z/alpha) at each element of w, as `_kernel` forms it."""
+    u = w / alpha
+    return specfun._piecewise(u < math.inf, lambda i: specfun._elementwise(math.log1p, u[i]),
+                              lambda i: specfun._elementwise(math.log, w[i]) - math.log(alpha))
 
 
 def _lower_moment_array(p: Params, n: int, w: np.ndarray) -> np.ndarray:

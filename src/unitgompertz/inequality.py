@@ -22,11 +22,13 @@ import math
 
 import numpy as np
 
-from . import specfun
 from .distribution import (
     _MIN,
     Params,
+    _each_point,
+    _head,
     _in_open_unit,
+    _kernel,
     _lower_moment,
     _lower_moment_array,
     _ndarray,
@@ -74,25 +76,16 @@ def lorenz(p: Params, prob: float) -> float:
     mean = raw_moment(p, 1)
     if mean >= _MIN:
         return _lower_moment(p, 1, w) / mean
-    s = 1.0 - 1.0 / p.beta  # as `_lorenz_array`
-    return (math.exp(s * math.log1p(w / p.alpha) - w)
-            * specfun._tail_ratio(s, p.alpha + w) / specfun._tail_ratio(s, p.alpha))
+    # L = Gamma(s; alpha + w) / Gamma(s; alpha): each as the k = 0 kernel, free of alpha^-s
+    s = 1.0 - 1.0 / p.beta
+    return math.exp(-w) * _kernel(p.alpha, -s, 0, w) / _head(p.alpha, -s, 0, 0.0)
 
 
 def _lorenz_array(p: Params, prob: np.ndarray) -> np.ndarray:
-    """`lorenz` at each prob in (0, 1].
-
-    Where E[X] = alpha r(s, alpha) is below the normal doubles, with
-    s = 1 - 1/beta and r = z^-s e^z Gamma(s; z), alpha cancels from m1/E[X]:
-    L = e^-w (z/alpha)^s r(s, z) / r(s, alpha), with the power formed in logs.
-    """
-    w = -_elementwise(math.log, prob)
-    mean = raw_moment(p, 1)
-    if mean >= _MIN:
-        return _lower_moment_array(p, 1, w) / mean
-    s = 1.0 - 1.0 / p.beta
-    return (_elementwise(math.exp, s * _elementwise(math.log1p, w / p.alpha) - w)
-            * specfun._tail_ratio_array(s, p.alpha + w) / specfun._tail_ratio(s, p.alpha))
+    """`lorenz` at each prob in (0, 1]; the scalar loop where E[X] is below the normal doubles."""
+    if raw_moment(p, 1) < _MIN:
+        return _each_point(lorenz, p, prob)
+    return _lower_moment_array(p, 1, -_elementwise(math.log, prob)) / raw_moment(p, 1)
 
 
 def bonferroni(p: Params, prob: float) -> float:

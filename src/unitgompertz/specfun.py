@@ -383,14 +383,13 @@ def _recur_array(s: float, x: np.ndarray) -> np.ndarray:
 
 
 def _tail_ratio_array(s: float, x: np.ndarray) -> np.ndarray:
-    """`_tail_ratio` at each element of x; below the continued fraction at s >= 1/2,
-    where the library takes the lower series itself, the scalar loop."""
-    return _piecewise(
-        x >= _cf_from(s),
-        lambda pick: _cf_factor_array(s, x[pick]),
-        lambda pick: _recur_array(s, x[pick]) if s < 0.5
-        else _elementwise(functools.partial(_tail_ratio, s), x[pick]),
-    )
+    """`_tail_ratio` at each element of x, for s < 1/2 or x >= _cf_from(s): the
+    recurrence only steps down, and at s >= 1/2 the library takes the lower series."""
+    cf = x >= _cf_from(s)
+    if s >= 0.5 and not cf.all():
+        raise ValueError(f"_tail_ratio_array at s = {s} needs x >= {_cf_from(s)}")
+    return _piecewise(cf, lambda pick: _cf_factor_array(s, x[pick]),
+                      lambda pick: _recur_array(s, x[pick]))
 
 
 def exp_integral_e1(x: float) -> float:

@@ -138,6 +138,29 @@ def test_lorenz_and_bonferroni_where_the_mean_underflows(p, tmp_path):
             assert code == 0
 
 
+# At alpha below w/DBL_MAX (subnormal) w/alpha passes the doubles, and ln(z/alpha)
+# must not.  L(u) = Gamma(s; alpha + w) / Gamma(s; alpha), s = 1 - 1/beta,
+# w = -ln u: the alpha^m e^alpha of m1 and E[X] cancel (40-digit mpmath).
+SUBNORMAL_ALPHA = [
+    (Params(1e-310, 2.0), 0.2, 0.07279360606363308),  # E[X] normal: the kernel
+    (Params(1e-311, 1.0), 0.5, 0.0005292199683434854),  # E[X] not, s = 0
+    (Params(1e-320, 1.001), 0.5, 0.0007269973619931162),  # E[X] not, 0 < s
+]
+
+
+@pytest.mark.parametrize("p, u, want", SUBNORMAL_ALPHA)
+def test_lorenz_and_bonferroni_at_a_subnormal_alpha(p, u, want):
+    assert_close(lorenz(p, u), want, 1e-13)
+    assert_close(bonferroni(p, u), want / u, 1e-13)
+    assert lorenz(p, np.array([u, 1.0])).tolist() == [lorenz(p, u), 1.0]
+    assert bonferroni(p, np.array([u, 1.0])).tolist() == [bonferroni(p, u), 1.0]
+    # On a grid the array form mixes both sides of w/alpha = DBL_MAX.
+    grid = np.linspace(0.001, 0.999, 999)
+    vals = lorenz(p, grid)
+    assert np.all(vals > 0.0) and np.all(np.diff(vals) > 0.0) and np.all(vals < grid)
+    assert vals.tolist() == [lorenz(p, float(u)) for u in grid]
+
+
 class TestBonferroni:
     def test_full_mass(self, p11):
         assert bonferroni(p11, 1.0) == pytest.approx(1.0, rel=1e-12)
